@@ -1,7 +1,7 @@
 """Command-line interface: qut, fit, predict, simulate.
 
-Every command is deterministic given --seed, and sweep results are
-independent of --jobs.  Exit codes are a stable contract: 0 success,
+Every command is deterministic given --seed, and simulate's results are
+independent of its --jobs.  Exit codes are a stable contract: 0 success,
 2 usage, 3 data, 4 numerical, 5 iteration budget exhausted (the model
 file is still written).
 """
@@ -109,12 +109,6 @@ def _resolve(args, config, key, default):
     return default
 
 
-def _jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    return os.cpu_count() or 1
-
-
 def _out_path(args, name):
     os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
@@ -160,9 +154,7 @@ def cmd_qut(args):
     ds, task, arch = _ingest(args, config)
     alpha = float(_resolve(args, config, "alpha", 0.05))
     n_mc = int(_resolve(args, config, "n_mc", 1000))
-    est = compute_qut(
-        ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=args.seed, jobs=_jobs(args)
-    )
+    est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=args.seed)
     if not np.isfinite(est.lambda_qut):
         raise NumericalError("lambda came out %r" % est.lambda_qut)
     payload = est.to_dict()
@@ -194,7 +186,6 @@ def cmd_fit(args):
         n_mc=int(_resolve(args, config, "n_mc", 1000)),
         max_phase_iters=int(_resolve(args, config, "max_phase_iters", 5000)),
         seed=args.seed,
-        jobs=_jobs(args),
     )
     res = fit(ds.X, ds.Y, task, arch, config=train_cfg)
     if not np.isfinite(res.train_loss):
@@ -356,7 +347,7 @@ def cmd_simulate(args):
     rows, _records = sweep(
         args.kind, n, p, args.s,
         hidden=hidden, activation=activation, n_runs=n_runs, n_test=n_test,
-        seed=args.seed, alpha=alpha, n_mc=n_mc, jobs=_jobs(args),
+        seed=args.seed, alpha=alpha, n_mc=n_mc, jobs=args.jobs,
         records_path=records_path, resume=args.resume,
     )
     wall = time.monotonic() - t0
@@ -366,7 +357,7 @@ def cmd_simulate(args):
     write_manifest(
         _out_path(args, "sweep_manifest.json"),
         args.kind, n, p, args.s, hidden, activation, n_runs, n_test,
-        args.seed, alpha, n_mc, _jobs(args), wall,
+        args.seed, alpha, n_mc, args.jobs, wall,
     )
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))
@@ -383,8 +374,6 @@ def cmd_simulate(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available cores)")
     common.add_argument("--config", default=None, help="JSON file with option defaults")
     common.add_argument("--output-dir", default=".", help="directory for output files")
 
@@ -444,6 +433,8 @@ def build_parser():
                        default=None)
     p_sim.add_argument("--alpha", type=float, default=None)
     p_sim.add_argument("--n-mc", dest="n_mc", type=int, default=None)
+    p_sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="worker processes (default: available cores)")
     p_sim.add_argument("--resume", action="store_true",
                        help="skip trials already present in sweep_records.jsonl")
     p_sim.set_defaults(func=cmd_simulate)

@@ -135,10 +135,16 @@ def load_training(path, target, has_header=True, task_kind="regression"):
             Y[i, lut[tok]] = 1.0
 
     feat_idx = [j for j in range(n_cols) if j != t_idx]
-    cols, kept_names, kept_idx, imputed = [], [], [], 0
-    dropped = []
-    for j in feat_idx:
-        col = _parse_column(data, j, names[j], start_row)
+    X = np.empty((len(data), len(feat_idx)))
+    try:
+        for i, row in enumerate(data):
+            X[i] = [float(row[j]) for j in feat_idx]
+    except ValueError:  # a missing token or a bad cell; _parse_column knows which
+        for k, j in enumerate(feat_idx):
+            X[:, k] = _parse_column(data, j, names[j], start_row)
+    keep, dropped, imputed = [], [], 0
+    for k, j in enumerate(feat_idx):
+        col = X[:, k]
         miss = np.isnan(col)
         if miss.all():
             dropped.append(names[j])
@@ -149,20 +155,18 @@ def load_training(path, target, has_header=True, task_kind="regression"):
         if col.std() < CONSTANT_TOL:
             dropped.append(names[j])
             continue
-        cols.append(col)
-        kept_names.append(names[j])
-        kept_idx.append(j)
-    if not cols:
+        keep.append(k)
+    if not keep:
         raise DataError("%s: no usable feature columns" % path)
-    X = np.column_stack(cols)
+    X = X.take(keep, axis=1)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     X = (X - mean) / std
     return Dataset(
         X=X,
         Y=Y,
-        feature_names=kept_names,
-        indices=kept_idx,
+        feature_names=[names[feat_idx[k]] for k in keep],
+        indices=[feat_idx[k] for k in keep],
         mean=mean,
         std=std,
         dropped=dropped,

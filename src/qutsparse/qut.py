@@ -9,7 +9,6 @@ is scale-free (the square-root loss divides the residual norm out), so
 the null draws need no variance estimate.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 
@@ -49,6 +48,27 @@ def depth_scale(arch):
     return kappa ** (arch.n_layers - 1) * float(np.sqrt(extra))
 
 
+# Null draws per GEMM.  At 128 OpenBLAS threads the GEMM: compute_qut at 70x250
+# in two parallel sweep workers then took 86 ms against 40-44 ms at 32.  One
+# n_mc-draw block would also add about 5 MB of peak memory at 300x80.
+BLOCK = 32
+
+
+def _block_statistics(X, Y, task, arch):
+    """Null statistic of each draw in Y, of shape (n, k, m), where draw i
+    is the response matrix Y[:, i, :]."""
+    n, k, m = Y.shape
+    Yc = Y - np.mean(Y, axis=0)
+    G = X.T @ Yc.reshape(n, k * m)
+    stat = np.max(np.sum(np.abs(G).reshape(-1, k, m), axis=2), axis=0)
+    if task.kind == "regression":
+        denom = np.sqrt(np.einsum("ikj,ikj->k", Yc, Yc))
+        if np.any(denom == 0.0):
+            raise ValueError("constant response; the null statistic is undefined")
+        stat /= denom
+    return stat * depth_scale(arch)
+
+
 def null_statistic(X, Y, task, arch):
     """Largest first-layer gradient magnitude attainable at the null model,
     for one response matrix.  Row norm is l1 across outputs; regression
@@ -57,15 +77,7 @@ def null_statistic(X, Y, task, arch):
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    Yc = Y - np.mean(Y, axis=0)
-    G = X.T @ Yc
-    stat = float(np.max(np.sum(np.abs(G), axis=1)))
-    if task.kind == "regression":
-        denom = float(np.linalg.norm(Yc))
-        if denom == 0.0:
-            raise ValueError("constant response; the null statistic is undefined")
-        stat /= denom
-    return stat * depth_scale(arch)
+    return float(_block_statistics(X, Y[:, None, :], task, arch)[0])
 
 
 def sample_null(task, Y, rng):
@@ -82,21 +94,13 @@ def sample_null(task, Y, rng):
     return np.eye(m)[idx]
 
 
-def _chunk_stats(X, Y, task, arch, seeds):
-    out = np.empty(len(seeds))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        out[i] = null_statistic(X, sample_null(task, Y, rng), task, arch)
-    return out
-
-
-def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0, jobs=1):
+def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     """Monte Carlo estimate of the null quantile.
 
-    Every draw uses its own counter-derived generator, so the result is
-    identical for any jobs value; jobs only chunks the evaluation.  The
-    quantile is the plain ascending order statistic at ceil((1-alpha)*n_mc),
-    no interpolation.
+    Every draw uses its own counter-derived generator, so the samples do
+    not depend on how the draws are grouped for evaluation.  The quantile
+    is the plain ascending order statistic at ceil((1-alpha)*n_mc), no
+    interpolation.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be inside (0, 1)")
@@ -107,15 +111,13 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0, jobs=1):
     if Y.ndim == 1:
         Y = Y[:, None]
     children = np.random.SeedSequence(seed).spawn(n_mc)
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        samples = _chunk_stats(X, Y, task, arch, children)
-    else:
-        bounds = np.linspace(0, n_mc, jobs + 1).astype(int)
-        chunks = [children[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-            parts = list(ex.map(lambda c: _chunk_stats(X, Y, task, arch, c), chunks))
-        samples = np.concatenate(parts)
+    samples = np.empty(n_mc)
+    for a in range(0, n_mc, BLOCK):
+        block = children[a:a + BLOCK]
+        Y0 = np.empty((Y.shape[0], len(block), Y.shape[1]))
+        for i, child in enumerate(block):
+            Y0[:, i, :] = sample_null(task, Y, np.random.default_rng(child))
+        samples[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
     k = ceil((1.0 - alpha) * n_mc)
     lam = float(np.sort(samples)[k - 1])
     return QutEstimate(lambda_qut=lam, alpha=alpha, n_mc=n_mc, seed=seed, samples=samples)

@@ -46,7 +46,6 @@ class TrainConfig:
     max_phase_iters: int = 5000
     refit: bool = True
     seed: int = 0
-    jobs: int = 1
 
     def fractions(self):
         f = self.lambda_fractions
@@ -67,7 +66,7 @@ class PhaseRecord:
     name: str
     lam: float
     nu: float
-    iterations: int
+    iterations: int  # parameter updates applied
     initial_cost: float
     final_cost: float
 
@@ -134,8 +133,7 @@ def _warm_phase(params, arch, X, Y, task, lam, nu, cfg, name):
     final = None
     perfect = False
     hit_budget = True
-    it = 0
-    for it in range(cfg.max_phase_iters):
+    for _ in range(cfg.max_phase_iters):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
         cost = ls + lam * float(np.sum(penalty_value(params.w1, nu)))
@@ -160,7 +158,7 @@ def _warm_phase(params, arch, X, Y, task, lam, nu, cfg, name):
         )
     if initial is None:
         initial = final
-    rec = PhaseRecord(name, lam, nu, it, float(initial), float(final))
+    rec = PhaseRecord(name, lam, nu, adam.t, float(initial), float(final))
     return rec, perfect, hit_budget
 
 
@@ -176,9 +174,9 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
     step = 1.0
     perfect = task.kind == "regression" and ls0 == 0.0
     hit_budget = not perfect
-    it = 0
+    updates = 0
     if not perfect:
-        for it in range(cfg.max_phase_iters):
+        for _ in range(cfg.max_phase_iters):
             pred, cache = network.forward_cached(params, arch, X)
             ls, dpred = loss_and_grad(task, pred, Y)
             if task.kind == "regression" and ls == 0.0:
@@ -200,13 +198,14 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
                 hit_budget = False
                 break
             params = cand
+            updates += 1
             improve = (cur - cand_cost) / max(1.0, cur)
             cur = cand_cost
             step = min(2.0 * trial, 2.0 ** 20) if k == 0 else trial
             if improve < cfg.final_tol:
                 hit_budget = False
                 break
-    rec = PhaseRecord("sparsify", lam, nu, it, float(initial), float(cur))
+    rec = PhaseRecord("sparsify", lam, nu, updates, float(initial), float(cur))
     return params, rec, perfect, hit_budget
 
 
@@ -217,8 +216,7 @@ def _refit_phase(params, arch, X, Y, task, cfg):
     final = None
     perfect = False
     hit_budget = True
-    it = 0
-    for it in range(cfg.max_phase_iters):
+    for _ in range(cfg.max_phase_iters):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
         if initial is None:
@@ -239,7 +237,7 @@ def _refit_phase(params, arch, X, Y, task, cfg):
         final = loss_value(task, network.forward(params, arch, X), Y)
     if initial is None:
         initial = final
-    rec = PhaseRecord("refit", 0.0, None, it, float(initial), float(final))
+    rec = PhaseRecord("refit", 0.0, None, adam.t, float(initial), float(final))
     return rec, perfect, hit_budget
 
 
@@ -269,10 +267,7 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
     fractions = cfg.fractions()
 
     if lambda_qut is None:
-        est = compute_qut(
-            X, Y, task, arch,
-            alpha=cfg.alpha, n_mc=cfg.n_mc, seed=(int(cfg.seed), 1), jobs=cfg.jobs,
-        )
+        est = compute_qut(X, Y, task, arch, alpha=cfg.alpha, n_mc=cfg.n_mc, seed=(int(cfg.seed), 1))
         lambda_qut = est.lambda_qut
     lambda_qut = float(lambda_qut)
 

@@ -95,17 +95,35 @@ class TestSampleNull:
 
 
 class TestComputeQut:
-    def test_deterministic_and_jobs_invariant(self):
+    def test_deterministic_and_matches_per_draw_reference(self):
+        # n_mc=77 leaves a ragged last block of draws
         rng = np.random.default_rng(4)
-        X = rng.normal(0, 1, (25, 10))
-        Y = rng.normal(0, 1, (25, 1))
-        arch = Architecture(10, (), 1)
-        a = compute_qut(X, Y, REG, arch, n_mc=200, seed=11, jobs=1)
-        b = compute_qut(X, Y, REG, arch, n_mc=200, seed=11, jobs=3)
-        c = compute_qut(X, Y, REG, arch, n_mc=200, seed=11, jobs=1)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.samples, c.samples)
-        assert a.lambda_qut == b.lambda_qut == c.lambda_qut
+        n, p, n_mc, seed = 25, 10, 77, 11
+        X = rng.normal(0, 1, (n, p))
+        labels = np.r_[np.zeros(12, int), np.ones(9, int), np.full(4, 2)]
+        cases = [
+            (REG, rng.normal(0, 1, (n, 1)), Architecture(p, (), 1)),
+            (TaskSpec("classification", 3), np.eye(3)[labels], Architecture(p, (6,), 3)),
+            (REG, rng.normal(0, 1, (n, 1)), Architecture(p, (8, 4), 1, "softplus")),
+        ]
+        for task, Y, arch in cases:
+            ref = np.empty(n_mc)
+            for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_mc)):
+                draw = np.random.default_rng(child)
+                if task.kind == "regression":
+                    Y0 = draw.standard_normal(Y.shape)
+                else:
+                    Y0 = np.eye(3)[draw.choice(3, size=n, p=Y.mean(axis=0))]
+                Yc = Y0 - Y0.mean(axis=0)
+                stat = np.max(np.sum(np.abs(X.T @ Yc), axis=1))
+                if task.kind == "regression":
+                    stat /= np.linalg.norm(Yc)
+                ref[i] = stat * depth_scale(arch)
+            a = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=seed)
+            b = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=seed)
+            np.testing.assert_allclose(a.samples, ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(a.samples, b.samples)
+            assert a.lambda_qut == b.lambda_qut
 
     def test_quantile_is_plain_order_statistic(self):
         rng = np.random.default_rng(5)

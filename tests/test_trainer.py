@@ -10,6 +10,7 @@ from qutsparse.trainer import (
     STATUS_PERFECT,
     TrainConfig,
     _final_phase,
+    _refit_phase,
     _warm_phase,
     default_lambda_fractions,
     fit,
@@ -131,6 +132,29 @@ class TestPhases:
         assert np.array_equal(params2.w1 != 0.0, support)
 
 
+    def budget_problem(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(0, 1, (40, 6))
+        X = (X - X.mean(0)) / X.std(0)
+        Y = (2 * X[:, 0] + rng.standard_normal(40) * 0.3)[:, None]
+        arch = Architecture(6, (4,), 1, "relu")
+        return init_params(arch, rng), arch, X, Y, TrainConfig(seed=0, max_phase_iters=3)
+
+    def test_warm_phase_out_of_budget_reports_every_update(self):
+        params, arch, X, Y, cfg = self.budget_problem()
+        rec, _, hit_budget = _warm_phase(params, arch, X, Y, REG, 0.3, 0.9, cfg, "warm0")
+        assert hit_budget and rec.iterations == 3
+
+    def test_final_phase_out_of_budget_reports_every_update(self):
+        params, arch, X, Y, cfg = self.budget_problem()
+        _, rec, _, hit_budget = _final_phase(params, arch, X, Y, REG, 0.5, 0.1, cfg)
+        assert hit_budget and rec.iterations == 3
+
+    def test_refit_phase_out_of_budget_reports_every_update(self):
+        params, arch, X, Y, cfg = self.budget_problem()
+        rec, _, hit_budget = _refit_phase(params, arch, X, Y, REG, cfg)
+        assert hit_budget and rec.iterations == 3
+
 class TestFit:
     def make_linear(self, seed=0, n=70, p=25, beta=3.0):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
@@ -195,6 +219,7 @@ class TestFit:
         Y = forward(params, arch, X)
         res = fit(X, Y, REG, arch, TrainConfig(seed=7), lambda_qut=1.0)
         assert res.status == STATUS_PERFECT
+        assert [(ph.name, ph.iterations) for ph in res.phases] == [("warm0", 0)]
 
     def test_warm_phases_use_depth_unscaled_level(self):
         rng = np.random.default_rng(30)
