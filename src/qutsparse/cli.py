@@ -34,6 +34,10 @@ class NumericalError(Exception):
     """A computed quantity came out non-finite."""
 
 
+class UsageError(Exception):
+    """An option value, from a flag or the config file, is out of range."""
+
+
 def _opt_float(v):
     return None if v is None else float(v)
 
@@ -109,6 +113,27 @@ def _resolve(args, config, key, default):
     return default
 
 
+def _checked(args, config, key, default, kind, ok, rule):
+    """Resolve an option as _resolve does and convert it with kind;
+    UsageError unless ok(value)."""
+    raw = _resolve(args, config, key, default)
+    try:
+        val = kind(raw)
+    except (TypeError, ValueError):
+        val = None
+    if val is None or not ok(val):
+        raise UsageError("--%s must be %s, got %r" % (key.replace("_", "-"), rule, raw))
+    return val
+
+
+def _qut_options(args, config):
+    """The null quantile level and Monte Carlo draw count."""
+    alpha = _checked(args, config, "alpha", 0.05, float, lambda a: 0.0 < a < 1.0,
+                     "a number in (0, 1)")
+    n_mc = _checked(args, config, "n_mc", 1000, int, lambda k: k >= 1, "an integer >= 1")
+    return alpha, n_mc
+
+
 def _out_path(args, name):
     os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
@@ -151,9 +176,8 @@ def _selected_entries(ds, selected):
 
 def cmd_qut(args):
     config = _load_config(args.config)
+    alpha, n_mc = _qut_options(args, config)
     ds, task, arch = _ingest(args, config)
-    alpha = float(_resolve(args, config, "alpha", 0.05))
-    n_mc = int(_resolve(args, config, "n_mc", 1000))
     est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=args.seed)
     if not np.isfinite(est.lambda_qut):
         raise NumericalError("lambda came out %r" % est.lambda_qut)
@@ -180,13 +204,12 @@ def cmd_qut(args):
 
 def cmd_fit(args):
     config = _load_config(args.config)
+    alpha, n_mc = _qut_options(args, config)
+    max_phase_iters = _checked(args, config, "max_phase_iters", 5000, int,
+                               lambda k: k >= 1, "an integer >= 1")
     ds, task, arch = _ingest(args, config)
-    train_cfg = TrainConfig(
-        alpha=float(_resolve(args, config, "alpha", 0.05)),
-        n_mc=int(_resolve(args, config, "n_mc", 1000)),
-        max_phase_iters=int(_resolve(args, config, "max_phase_iters", 5000)),
-        seed=args.seed,
-    )
+    train_cfg = TrainConfig(alpha=alpha, n_mc=n_mc, max_phase_iters=max_phase_iters,
+                            seed=args.seed)
     res = fit(ds.X, ds.Y, task, arch, config=train_cfg)
     if not np.isfinite(res.train_loss):
         raise NumericalError("training loss came out %r" % res.train_loss)
@@ -332,15 +355,13 @@ def cmd_simulate(args):
     activation = _resolve(args, config, "activation", "relu")
     n_runs = int(_resolve(args, config, "runs", 25))
     n_test = int(_resolve(args, config, "n_test", 1000))
-    alpha = float(_resolve(args, config, "alpha", 0.05))
-    n_mc = int(_resolve(args, config, "n_mc", 1000))
+    alpha, n_mc = _qut_options(args, config)
     try:
         for s in args.s:
             ScenarioSpec(args.kind, n, p, s, n_test=n_test, n_runs=n_runs, seed=args.seed)
         Architecture(max(p, 1), hidden, 1, activation)
     except ValueError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
 
     records_path = _out_path(args, "sweep_records.jsonl")
     t0 = time.monotonic()
@@ -446,6 +467,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA

@@ -7,14 +7,18 @@ univariate prox is a thresholding rule with a discontinuity: below the
 threshold the minimizer is exactly 0, just above it the minimizer jumps
 to a positive value.  Threshold and jump solve a two-equation system
 that only depends on (lam, nu), so they are computed once and cached.
+
+Above the threshold every entry needs its own bracketed Newton
+root-find, with a data-dependent iteration count.  One vectorized numpy
+kernel runs them all over a shrinking working set; the test suite checks
+it against a scalar loop on every run.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from ._kernels import prox_magnitudes, prox_root, solve_jump
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,68 @@ def penalty_slope(theta, nu):
     return np.sign(theta) * (1.0 + nu * t) / (1.0 + t) ** 2
 
 
+def _solve_jump(lam, nu):
+    """Positive root of the jump equation for 0 < nu < 1, lam > 0."""
+    # Monotone reformulation t**(1 - nu/2) + t**(nu/2) = sqrt(2*lam*(1-nu)).
+    # AM-GM puts the root inside (0, lam*(1-nu)/2], and both powers are
+    # increasing there, so plain bisection is safe.
+    target = math.sqrt(2.0 * lam * (1.0 - nu))
+    lo = 0.0
+    hi = lam * (1.0 - nu) / 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = mid ** (1.0 - 0.5 * nu) + mid ** (0.5 * nu)
+        if g < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _prox_magnitudes(z, lam, nu, phi, kappa):
+    """Componentwise prox on an array of nonnegative magnitudes.
+
+    Entries at or below ``phi`` map to 0.  Each one above it solves the
+    stationarity equation theta - z + lam*(1 + nu*t)/(1 + t)**2 = 0,
+    t = theta**(1 - nu), whose one root in [kappa, z] is the minimizer
+    (the lower end excludes the spurious local max): Newton from z,
+    clipped to a shrinking sign bracket with bisection fallback.  An
+    entry is tested for convergence before it is updated; once it passes
+    it is frozen and leaves the working set, so later iterations never
+    move it."""
+    out = np.zeros_like(z)
+    idx = np.flatnonzero(z > phi)
+    zw = z[idx]
+    lo = np.full_like(zw, kappa)
+    hi = zw.copy()
+    theta = zw.copy()
+    one_m = 1.0 - nu
+    for _ in range(100):
+        if idx.size == 0:
+            break
+        t = theta ** one_m
+        d = 1.0 + t
+        h = theta - zw + lam * (1.0 + nu * t) / (d * d)
+        pos = h > 0.0
+        hi = np.where(pos, theta, hi)
+        lo = np.where(pos, lo, theta)
+        mid = 0.5 * (lo + hi)
+        done = np.abs(h) < 1e-14 * (1.0 + zw)
+        hp = 1.0 - lam * one_m * theta ** (-nu) * ((2.0 - nu) + nu * t) / (d * d * d)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cand = np.where(hp > 0.0, theta - h / hp, mid)
+        cand = np.where(~np.isfinite(cand) | (cand <= lo) | (cand >= hi), mid, cand)
+        stalled = ~done & (np.abs(cand - theta) < 1e-15 * (1.0 + theta))
+        theta = np.where(done, theta, cand)
+        stop = done | stalled
+        if np.any(stop):
+            out[idx[stop]] = theta[stop]
+            run = ~stop
+            idx, zw, lo, hi, theta = idx[run], zw[run], lo[run], hi[run], theta[run]
+    out[idx] = theta
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _threshold_pair(lam, nu):
     # The backtracking line search revisits the same dyadic ladder of
@@ -59,7 +125,7 @@ def _threshold_pair(lam, nu):
         return 0.0, 0.0
     if nu == 1.0:
         return 0.5 * lam, 0.0
-    kappa = solve_jump(lam, nu)
+    kappa = _solve_jump(lam, nu)
     phi = 0.5 * kappa + lam / (1.0 + kappa ** (1.0 - nu))
     return phi, kappa
 
@@ -78,25 +144,13 @@ def solve_threshold(lam, nu):
     return PenaltySpec(lam=lam, nu=nu, threshold=phi, jump=kappa)
 
 
-def _signed(mag, y):
-    return mag if y >= 0.0 else -mag
-
-
 def prox(y, spec):
     """Exact scalar prox: argmin over theta of
     0.5*(y - theta)**2 + lam * penalty(theta).
 
     Ties at |y| == threshold resolve to 0.
     """
-    y = float(y)
-    if spec.lam == 0.0:
-        return y
-    z = abs(y)
-    if z <= spec.threshold:
-        return 0.0
-    if spec.nu == 1.0:
-        return _signed(z - 0.5 * spec.lam, y)
-    return _signed(prox_root(z, spec.lam, spec.nu, spec.jump), y)
+    return float(prox_vector(np.array([y], dtype=np.float64), spec)[0])
 
 
 def prox_vector(v, spec, step=1.0):
@@ -115,5 +169,5 @@ def prox_vector(v, spec, step=1.0):
     if spec.nu == 1.0:
         return np.sign(v) * np.maximum(np.abs(v) - 0.5 * eff, 0.0)
     phi, kappa = _threshold_pair(eff, spec.nu)
-    mags = prox_magnitudes(np.abs(v).ravel(), eff, spec.nu, phi, kappa)
+    mags = _prox_magnitudes(np.abs(v).ravel(), eff, spec.nu, phi, kappa)
     return (np.sign(v).ravel() * mags).reshape(v.shape)

@@ -276,7 +276,7 @@ def write_manifest(path, kind, n, p, s_grid, hidden, activation, n_runs,
         "config": {"alpha": alpha, "n_mc": n_mc},
         "jobs": jobs,
         "wall_time_s": wall_time,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -126,36 +126,42 @@ def ista_step(params, grads, spec, step):
     return network.NetworkParams(w1=w1, deep=deep, biases=biases, intercept=intercept)
 
 
-def _warm_phase(params, arch, X, Y, task, lam, nu, cfg, name):
+def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
+    """Adam on the data loss plus lam times the penalty on w1 at shape nu,
+    with the penalty's subgradient (zero at zero); nu=None drops the
+    penalty term.  Stops when the relative cost change falls below tol,
+    on an exactly zero regression residual, or after cfg.max_phase_iters
+    updates.  Updates params in place and returns
+    (PhaseRecord, perfect, hit_budget)."""
+
+    def cost_of(ls):
+        if nu is None:
+            return ls
+        return ls + lam * float(np.sum(penalty_value(params.w1, nu)))
+
     adam = _Adam(_blocks(params), cfg.warm_lr)
     prev = None
     initial = None
     final = None
     perfect = False
-    hit_budget = True
     for _ in range(cfg.max_phase_iters):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
-        cost = ls + lam * float(np.sum(penalty_value(params.w1, nu)))
+        cost = cost_of(ls)
         if initial is None:
             initial = cost
-        if task.kind == "regression" and ls == 0.0:
-            perfect = True
+        perfect = task.kind == "regression" and ls == 0.0
+        if perfect or (prev is not None and abs(cost - prev) / max(1.0, prev) < tol):
             final = cost
-            hit_budget = False
-            break
-        if prev is not None and abs(cost - prev) / max(1.0, prev) < cfg.warm_tol:
-            final = cost
-            hit_budget = False
             break
         g = network.backward(params, arch, cache, dpred)
-        g.w1 += lam * penalty_slope(params.w1, nu)
+        if nu is not None:
+            g.w1 += lam * penalty_slope(params.w1, nu)
         adam.step(_blocks(params), _blocks(g))
         prev = cost
-    if final is None:
-        final = loss_value(task, network.forward(params, arch, X), Y) + lam * float(
-            np.sum(penalty_value(params.w1, nu))
-        )
+    hit_budget = final is None
+    if hit_budget:
+        final = cost_of(loss_value(task, network.forward(params, arch, X), Y))
     if initial is None:
         initial = final
     rec = PhaseRecord(name, lam, nu, adam.t, float(initial), float(final))
@@ -209,38 +215,6 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
     return params, rec, perfect, hit_budget
 
 
-def _refit_phase(params, arch, X, Y, task, cfg):
-    adam = _Adam(_blocks(params), cfg.warm_lr)
-    prev = None
-    initial = None
-    final = None
-    perfect = False
-    hit_budget = True
-    for _ in range(cfg.max_phase_iters):
-        pred, cache = network.forward_cached(params, arch, X)
-        ls, dpred = loss_and_grad(task, pred, Y)
-        if initial is None:
-            initial = ls
-        if task.kind == "regression" and ls == 0.0:
-            perfect = True
-            final = ls
-            hit_budget = False
-            break
-        if prev is not None and abs(ls - prev) / max(1.0, prev) < cfg.final_tol:
-            final = ls
-            hit_budget = False
-            break
-        g = network.backward(params, arch, cache, dpred)
-        adam.step(_blocks(params), _blocks(g))
-        prev = ls
-    if final is None:
-        final = loss_value(task, network.forward(params, arch, X), Y)
-    if initial is None:
-        initial = final
-    rec = PhaseRecord("refit", 0.0, None, adam.t, float(initial), float(final))
-    return rec, perfect, hit_budget
-
-
 def fit(X, Y, task, arch, config=None, lambda_qut=None):
     """Run the full pipeline on standardized features.
 
@@ -287,8 +261,8 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
     perfect = False
     budget_hit = False
     for i, (frac, nu) in enumerate(zip(fractions[:-1], cfg.nu_schedule)):
-        rec, perfect, hb = _warm_phase(
-            params, arch, X, Y, task, frac * warm_base, float(nu), cfg, "warm%d" % i
+        rec, perfect, hb = _adam_phase(
+            params, arch, X, Y, task, cfg, frac * warm_base, float(nu), cfg.warm_tol, "warm%d" % i
         )
         phases.append(rec)
         budget_hit = budget_hit or hb
@@ -309,7 +283,9 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
             pruned.intercept = null_constant(task, Y)
             phases.append(PhaseRecord("refit", 0.0, None, 0, None, None))
         else:
-            rec, perfect, hb = _refit_phase(pruned, parch, Xs, Y, task, cfg)
+            rec, perfect, hb = _adam_phase(
+                pruned, parch, Xs, Y, task, cfg, 0.0, None, cfg.final_tol, "refit"
+            )
             phases.append(rec)
             budget_hit = budget_hit or hb
 

@@ -37,6 +37,33 @@ def strip_timestamp(path):
     return [l for l in open(path).read().splitlines() if "created_at" not in l]
 
 
+def assert_usage_error(rc, capsys, out_file):
+    """Exit 2, one 'usage error:' line on stderr, no output file."""
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert not out_file.exists()
+
+
+def bad_option_args(tmp_path, case):
+    """CLI arguments for one bad-option case: a flag, or a config file."""
+    if isinstance(case, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(case))
+        return ["--config", str(cfg)]
+    return list(case)
+
+
+def case_id(case):
+    if isinstance(case, dict):
+        return "config-" + ",".join("%s=%s" % kv for kv in case.items())
+    return "%s=%s" % (case[0].lstrip("-"), case[1])
+
+
+BAD_QUT_OPTIONS = [("--alpha", "2"), ("--alpha", "0"), ("--n-mc", "0"), {"alpha": 1.5},
+                   {"n_mc": -3}, {"alpha": "high"}]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     d = tmp_path_factory.mktemp("trained")
@@ -87,6 +114,14 @@ class TestQut:
             assert rc == EXIT_OK
             lams[alpha] = json.load(open(tmp_path / alpha / "qut.json"))["lambda_qut"]
         assert lams["0.5"] <= lams["0.05"]
+
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS, ids=case_id)
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
+        train = tmp_path / "train.csv"
+        make_regression_csv(train)
+        rc = main(["qut", str(train), "--target", "y", "--output-dir", str(tmp_path / "out")]
+                  + bad_option_args(tmp_path, case))
+        assert_usage_error(rc, capsys, tmp_path / "out" / "qut.json")
 
     def test_nonnumeric_cell_names_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -160,6 +195,16 @@ class TestFit:
                    "--output-dir", str(tmp_path)])
         assert rc == EXIT_BUDGET
         assert json.load(open(tmp_path / "model.json"))["status"] == "MaxIters"
+
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + [
+        ("--max-phase-iters", "-1"), ("--max-phase-iters", "0"), {"max_phase_iters": 0},
+    ], ids=case_id)
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
+        train = tmp_path / "train.csv"
+        make_regression_csv(train)
+        rc = main(["fit", str(train), "--target", "y", "--output-dir", str(tmp_path / "out")]
+                  + bad_option_args(tmp_path, case))
+        assert_usage_error(rc, capsys, tmp_path / "out" / "model.json")
 
     def test_nonfinite_data_is_numerical_error(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -303,6 +348,7 @@ class TestSimulate:
         assert len(text.splitlines()) == 3
         manifest = json.load(open(tmp_path / "sweep_manifest.json"))
         assert manifest["scenario"]["s_grid"] == [0, 1]
+        assert manifest["created_at"].endswith("Z")
         assert len(open(tmp_path / "sweep_records.jsonl").read().splitlines()) == 4
 
     def test_resume_matches_fresh(self, tmp_path):
@@ -324,3 +370,10 @@ class TestSimulate:
                    "--output-dir", str(tmp_path)] + self.ARGS)
         assert rc == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS, ids=case_id)
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
+        rc = main(["simulate", "linear", "--n", "40", "--p", "8", "--s", "0,1", "--runs", "1",
+                   "--jobs", "1", "--output-dir", str(tmp_path / "out")]
+                  + bad_option_args(tmp_path, case))
+        assert_usage_error(rc, capsys, tmp_path / "out" / "sweep_records.jsonl")

@@ -9,9 +9,8 @@ from qutsparse.trainer import (
     STATUS_MAX_ITERS,
     STATUS_PERFECT,
     TrainConfig,
+    _adam_phase,
     _final_phase,
-    _refit_phase,
-    _warm_phase,
     default_lambda_fractions,
     fit,
     ista_step,
@@ -108,13 +107,13 @@ class TestPhases:
         arch = Architecture(6, (4,), 1, "softplus")
         params = init_params(arch, rng)
         cfg = TrainConfig(seed=0)
-        _warm_phase(params, arch, X, Y, REG, 0.3, 0.9, cfg, "a")
+        _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, cfg.warm_tol, "a")
         from qutsparse.penalty import penalty_value
 
         expected = loss_value(REG, forward(params, arch, X), Y) + 0.6 * float(
             np.sum(penalty_value(params.w1, 0.7))
         )
-        rec, _, _ = _warm_phase(params, arch, X, Y, REG, 0.6, 0.7, cfg, "b")
+        rec, _, _ = _adam_phase(params, arch, X, Y, REG, cfg, 0.6, 0.7, cfg.warm_tol, "b")
         assert rec.initial_cost == pytest.approx(expected, rel=1e-12)
 
     def test_final_phase_monotone_and_support_stable(self):
@@ -142,7 +141,9 @@ class TestPhases:
 
     def test_warm_phase_out_of_budget_reports_every_update(self):
         params, arch, X, Y, cfg = self.budget_problem()
-        rec, _, hit_budget = _warm_phase(params, arch, X, Y, REG, 0.3, 0.9, cfg, "warm0")
+        rec, _, hit_budget = _adam_phase(
+            params, arch, X, Y, REG, cfg, 0.3, 0.9, cfg.warm_tol, "warm0"
+        )
         assert hit_budget and rec.iterations == 3
 
     def test_final_phase_out_of_budget_reports_every_update(self):
@@ -152,7 +153,9 @@ class TestPhases:
 
     def test_refit_phase_out_of_budget_reports_every_update(self):
         params, arch, X, Y, cfg = self.budget_problem()
-        rec, _, hit_budget = _refit_phase(params, arch, X, Y, REG, cfg)
+        rec, _, hit_budget = _adam_phase(
+            params, arch, X, Y, REG, cfg, 0.0, None, cfg.final_tol, "refit"
+        )
         assert hit_budget and rec.iterations == 3
 
 class TestFit:
