@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import DataError, load_features, load_training
 from .losses import TaskSpec
-from .network import Architecture, forward, params_from_dict, params_to_dict
+from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
 from .simlab import CSV_COLUMNS, ScenarioSpec, sweep, write_csv, write_manifest
-from .trainer import TrainConfig, fit
+from .trainer import STATUS_MAX_ITERS, TrainConfig, fit
 
 FORMAT_VERSION = 1
 
@@ -134,6 +134,25 @@ def _qut_options(args, config):
     return alpha, n_mc
 
 
+def _seed(args):
+    """--seed; it always has a value, so the config file cannot set it."""
+    return _checked(args, {}, "seed", None, int, lambda k: k >= 0, "an integer >= 0")
+
+
+def _widths(value):
+    """Hidden widths from --hidden (a tuple) or a config list; None otherwise."""
+    return tuple(int(w) for w in value) if isinstance(value, (list, tuple)) else None
+
+
+def _net_options(args, config, hidden_default):
+    """The hidden widths and the activation."""
+    hidden = _checked(args, config, "hidden", hidden_default, _widths,
+                      lambda ws: all(w >= 1 for w in ws), "a list of positive widths")
+    activation = _checked(args, config, "activation", "relu", str,
+                          lambda a: a in ACTIVATIONS, "one of %s" % ", ".join(ACTIVATIONS))
+    return hidden, activation
+
+
 def _out_path(args, name):
     os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
@@ -146,7 +165,10 @@ def _write_json(path, payload):
 
 
 def _ingest(args, config):
-    task_kind = _resolve(args, config, "task", "regression")
+    task_kind = _checked(args, config, "task", "regression", str,
+                         lambda t: t in ("regression", "classification"),
+                         "regression or classification")
+    hidden, activation = _net_options(args, config, (20,))
     has_header = not args.no_header
     ds = load_training(args.data, args.target, has_header=has_header, task_kind=task_kind)
     for name in ds.dropped:
@@ -154,10 +176,6 @@ def _ingest(args, config):
     if ds.imputed:
         print("imputed %d missing cells by column mean" % ds.imputed, file=sys.stderr)
     task = TaskSpec(task_kind, ds.Y.shape[1])
-    hidden = _resolve(args, config, "hidden", (20,))
-    if isinstance(hidden, list):
-        hidden = tuple(int(w) for w in hidden)
-    activation = _resolve(args, config, "activation", "relu")
     arch = Architecture(ds.X.shape[1], hidden, task.n_outputs, activation)
     return ds, task, arch
 
@@ -177,8 +195,9 @@ def _selected_entries(ds, selected):
 def cmd_qut(args):
     config = _load_config(args.config)
     alpha, n_mc = _qut_options(args, config)
+    seed = _seed(args)
     ds, task, arch = _ingest(args, config)
-    est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=args.seed)
+    est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=seed)
     if not np.isfinite(est.lambda_qut):
         raise NumericalError("lambda came out %r" % est.lambda_qut)
     payload = est.to_dict()
@@ -207,9 +226,10 @@ def cmd_fit(args):
     alpha, n_mc = _qut_options(args, config)
     max_phase_iters = _checked(args, config, "max_phase_iters", 5000, int,
                                lambda k: k >= 1, "an integer >= 1")
+    seed = _seed(args)
     ds, task, arch = _ingest(args, config)
     train_cfg = TrainConfig(alpha=alpha, n_mc=n_mc, max_phase_iters=max_phase_iters,
-                            seed=args.seed)
+                            seed=seed)
     res = fit(ds.X, ds.Y, task, arch, config=train_cfg)
     if not np.isfinite(res.train_loss):
         raise NumericalError("training loss came out %r" % res.train_loss)
@@ -222,7 +242,7 @@ def cmd_fit(args):
         "alpha": train_cfg.alpha,
         "n_mc": train_cfg.n_mc,
         "max_phase_iters": train_cfg.max_phase_iters,
-        "seed": int(args.seed),
+        "seed": seed,
     }
     model = {
         "format_version": FORMAT_VERSION,
@@ -273,7 +293,7 @@ def cmd_fit(args):
 
     if args.test_file is not None:
         _report_holdout(args, model, task, ds)
-    return EXIT_BUDGET if res.status == "MaxIters" else EXIT_OK
+    return EXIT_BUDGET if res.status == STATUS_MAX_ITERS else EXIT_OK
 
 
 def _report_holdout(args, model, task, ds):
@@ -349,17 +369,14 @@ def cmd_predict(args):
 def cmd_simulate(args):
     config = _load_config(args.config)
     n, p = args.n, args.p
-    hidden = _resolve(args, config, "hidden", ())
-    if isinstance(hidden, list):
-        hidden = tuple(int(w) for w in hidden)
-    activation = _resolve(args, config, "activation", "relu")
-    n_runs = int(_resolve(args, config, "runs", 25))
-    n_test = int(_resolve(args, config, "n_test", 1000))
+    hidden, activation = _net_options(args, config, ())
+    n_runs = _checked(args, config, "runs", 25, int, lambda k: k >= 1, "an integer >= 1")
+    n_test = _checked(args, config, "n_test", 1000, int, lambda k: k >= 1, "an integer >= 1")
     alpha, n_mc = _qut_options(args, config)
+    jobs = _checked(args, {}, "jobs", None, int, lambda k: k >= 1, "an integer >= 1")
     try:
         for s in args.s:
             ScenarioSpec(args.kind, n, p, s, n_test=n_test, n_runs=n_runs, seed=args.seed)
-        Architecture(max(p, 1), hidden, 1, activation)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -368,7 +385,7 @@ def cmd_simulate(args):
     rows, _records = sweep(
         args.kind, n, p, args.s,
         hidden=hidden, activation=activation, n_runs=n_runs, n_test=n_test,
-        seed=args.seed, alpha=alpha, n_mc=n_mc, jobs=args.jobs,
+        seed=args.seed, alpha=alpha, n_mc=n_mc, jobs=jobs,
         records_path=records_path, resume=args.resume,
     )
     wall = time.monotonic() - t0
@@ -378,7 +395,7 @@ def cmd_simulate(args):
     write_manifest(
         _out_path(args, "sweep_manifest.json"),
         args.kind, n, p, args.s, hidden, activation, n_runs, n_test,
-        args.seed, alpha, n_mc, args.jobs, wall,
+        args.seed, alpha, n_mc, jobs, wall,
     )
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))

@@ -20,10 +20,6 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "leaky_relu", "softplus")
 
-# sup of the activation derivative, used by the scaling of the automatic
-# regularization level
-ACTIVATION_DERIV_SUP = {"relu": 1.0, "leaky_relu": 1.0, "softplus": 1.0}
-
 LEAKY_SLOPE = 0.01
 
 
@@ -204,12 +200,6 @@ def backward(params, arch, cache, dpred):
             g.deep[l - 2] = _norm_backward(Vs[l - 2], norms[l - 2], dE)
             U = Dl @ Vs[l - 2]
     return g
-
-
-def parameter_count(arch):
-    """Total scalar parameters: weights plus offsets of every layer."""
-    w = arch.widths
-    return int(sum(w[k + 1] * (w[k] + 1) for k in range(arch.n_layers)))
 
 
 def prune(params, arch):

@@ -13,7 +13,9 @@ rebuild the summary CSV from the sorted record set.
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -152,16 +154,13 @@ def metrics(records):
     }
 
 
-def _worker(args):
-    (kind, n, p, s, n_test, n_runs, seed, run_index, hidden, activation,
-     alpha, n_mc) = args
-    spec = ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test,
-                        n_runs=n_runs, seed=seed)
+def _worker(cell, hidden, activation, alpha, n_mc):
+    spec, run_index = cell
     try:
         return run_trial(spec, run_index, hidden=hidden, activation=activation,
                          alpha=alpha, n_mc=n_mc)
     except Exception as exc:  # recorded, excluded from aggregates
-        return {"s": int(s), "run": int(run_index), "error": str(exc)}
+        return {"s": int(spec.s), "run": int(run_index), "error": str(exc)}
 
 
 def aggregate(records, s_grid, n_runs):
@@ -213,9 +212,8 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
     CSV is byte-identical for any jobs value or resume split.
     """
     s_grid = sorted(set(int(s) for s in s_grid))
-    for s in s_grid:
-        ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test,
-                     n_runs=n_runs, seed=seed)
+    specs = [ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test, n_runs=n_runs, seed=seed)
+             for s in s_grid]
 
     done = {}
     if records_path is not None and resume:
@@ -229,37 +227,24 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
         except FileNotFoundError:
             pass
 
-    sink = None
-    if records_path is not None:
-        sink = open(records_path, "a" if resume else "w")
-
-    tasks = []
-    for s in s_grid:
-        for run in range(n_runs):
-            if (s, run) in done:
-                continue
-            tasks.append((kind, n, p, s, n_test, n_runs, seed, run,
-                          tuple(hidden), activation, alpha, n_mc))
+    cells = [(spec, run) for spec in specs for run in range(n_runs)
+             if (spec.s, run) not in done]
+    trial = partial(_worker, hidden=tuple(hidden), activation=activation,
+                    alpha=alpha, n_mc=n_mc)
 
     fresh = []
-    try:
-        if jobs > 1 and tasks:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rec in pool.map(_worker, tasks):
-                    fresh.append(rec)
-                    if sink is not None:
-                        sink.write(json.dumps(rec, sort_keys=True) + "\n")
-                        sink.flush()
-        else:
-            for args in tasks:
-                rec = _worker(args)
-                fresh.append(rec)
-                if sink is not None:
-                    sink.write(json.dumps(rec, sort_keys=True) + "\n")
-                    sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+    with ExitStack() as stack:
+        sink = None
+        if records_path is not None:
+            sink = stack.enter_context(open(records_path, "a" if resume else "w"))
+        mapper = map
+        if jobs > 1 and cells:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for rec in mapper(trial, cells):
+            fresh.append(rec)
+            if sink is not None:
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
+                sink.flush()
 
     records = sorted(list(done.values()) + fresh, key=_record_key)
     rows = aggregate(records, s_grid, n_runs)

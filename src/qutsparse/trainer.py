@@ -26,39 +26,33 @@ STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERS = "MaxIters"
 STATUS_PERFECT = "PerfectFit"
 
+# Why a phase stopped: relative cost change below its tolerance, update
+# budget used up, exactly zero regression residual, or no line-search
+# step that descends at float resolution.
+STOP_CONVERGED = "converged"
+STOP_BUDGET = "budget"
+STOP_PERFECT = "perfect"
+STOP_STALLED = "stalled"
 
-def default_lambda_fractions(n_warm=6):
-    """Logistic ramp e**(i-1)/(1+e**(i-1)) for the warm phases, then 1.0
-    for the exact phase."""
-    f = [float(np.exp(i - 1.0) / (1.0 + np.exp(i - 1.0))) for i in range(n_warm)]
-    return tuple(f) + (1.0,)
+# The annealing path is part of the method.  The shape parameter of each
+# warm phase; the last entry is also the exact phase's shape.
+NU_SCHEDULE = (0.9, 0.7, 0.4, 0.3, 0.2, 0.1)
+# Logistic ramp e**(i-1)/(1+e**(i-1)) for the warm phases, then 1.0 for
+# the exact phase.
+LAMBDA_FRACTIONS = tuple(
+    float(np.exp(i - 1.0) / (1.0 + np.exp(i - 1.0))) for i in range(len(NU_SCHEDULE))
+) + (1.0,)
+WARM_LR = 0.01
+WARM_TOL = 1e-4
+FINAL_TOL = 1e-7
 
 
 @dataclass
 class TrainConfig:
     alpha: float = 0.05
     n_mc: int = 1000
-    nu_schedule: tuple = (0.9, 0.7, 0.4, 0.3, 0.2, 0.1)
-    lambda_fractions: tuple = None
-    warm_lr: float = 0.01
-    warm_tol: float = 1e-4
-    final_tol: float = 1e-7
     max_phase_iters: int = 5000
-    refit: bool = True
     seed: int = 0
-
-    def fractions(self):
-        f = self.lambda_fractions
-        if f is None:
-            f = default_lambda_fractions(len(self.nu_schedule))
-        f = tuple(float(x) for x in f)
-        if len(f) != len(self.nu_schedule) + 1:
-            raise ValueError("need len(nu_schedule) + 1 lambda fractions")
-        if any(b <= a for a, b in zip(f, f[1:])):
-            raise ValueError("lambda fractions must be strictly increasing")
-        if f[-1] != 1.0:
-            raise ValueError("last lambda fraction must be 1.0")
-        return f
 
 
 @dataclass
@@ -69,6 +63,7 @@ class PhaseRecord:
     iterations: int  # parameter updates applied
     initial_cost: float
     final_cost: float
+    stop: str  # one of the STOP_* reasons
 
 
 @dataclass
@@ -131,95 +126,103 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     with the penalty's subgradient (zero at zero); nu=None drops the
     penalty term.  Stops when the relative cost change falls below tol,
     on an exactly zero regression residual, or after cfg.max_phase_iters
-    updates.  Updates params in place and returns
-    (PhaseRecord, perfect, hit_budget)."""
+    updates.  Updates params in place and returns its PhaseRecord."""
 
     def cost_of(ls):
         if nu is None:
             return ls
         return ls + lam * float(np.sum(penalty_value(params.w1, nu)))
 
-    adam = _Adam(_blocks(params), cfg.warm_lr)
+    adam = _Adam(_blocks(params), WARM_LR)
     prev = None
     initial = None
-    final = None
-    perfect = False
+    stop = STOP_BUDGET
     for _ in range(cfg.max_phase_iters):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
         cost = cost_of(ls)
         if initial is None:
             initial = cost
-        perfect = task.kind == "regression" and ls == 0.0
-        if perfect or (prev is not None and abs(cost - prev) / max(1.0, prev) < tol):
-            final = cost
+        if task.kind == "regression" and ls == 0.0:
+            stop = STOP_PERFECT
+            break
+        if prev is not None and abs(cost - prev) / max(1.0, prev) < tol:
+            stop = STOP_CONVERGED
             break
         g = network.backward(params, arch, cache, dpred)
         if nu is not None:
             g.w1 += lam * penalty_slope(params.w1, nu)
         adam.step(_blocks(params), _blocks(g))
         prev = cost
-    hit_budget = final is None
-    if hit_budget:
-        final = cost_of(loss_value(task, network.forward(params, arch, X), Y))
+    if stop == STOP_BUDGET:
+        cost = cost_of(loss_value(task, network.forward(params, arch, X), Y))
     if initial is None:
-        initial = final
-    rec = PhaseRecord(name, lam, nu, adam.t, float(initial), float(final))
-    return rec, perfect, hit_budget
+        initial = cost
+    return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)
 
 
 def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
+    """Proximal gradient steps on the full penalized cost, with a monotone
+    backtracking line search shared by all blocks.  Each accepted
+    candidate's forward pass serves the next gradient.  Returns
+    (params, PhaseRecord)."""
     spec = solve_threshold(lam, nu)
 
-    def penalized(p):
-        ls = loss_value(task, network.forward(p, arch, X), Y)
-        return ls + lam * float(np.sum(penalty_value(p.w1, nu))), ls
+    def evaluate(p):
+        pred, cache = network.forward_cached(p, arch, X)
+        cost = loss_value(task, pred, Y) + lam * float(np.sum(penalty_value(p.w1, nu)))
+        return cost, pred, cache
 
-    cur, ls0 = penalized(params)
+    cur, pred, cache = evaluate(params)
     initial = cur
     step = 1.0
-    perfect = task.kind == "regression" and ls0 == 0.0
-    hit_budget = not perfect
     updates = 0
-    if not perfect:
-        for _ in range(cfg.max_phase_iters):
-            pred, cache = network.forward_cached(params, arch, X)
-            ls, dpred = loss_and_grad(task, pred, Y)
-            if task.kind == "regression" and ls == 0.0:
-                perfect = True
-                hit_budget = False
+    stop = STOP_BUDGET
+    for _ in range(cfg.max_phase_iters):
+        ls, dpred = loss_and_grad(task, pred, Y)
+        if task.kind == "regression" and ls == 0.0:
+            stop = STOP_PERFECT
+            break
+        g = network.backward(params, arch, cache, dpred)
+        trial = step
+        for k in range(31):
+            cand = ista_step(params, g, spec, trial)
+            cand_cost, cand_pred, cand_cache = evaluate(cand)
+            if cand_cost <= cur + 1e-12 * max(1.0, abs(cur)):
                 break
-            g = network.backward(params, arch, cache, dpred)
-            accepted = False
-            trial = step
-            for k in range(31):
-                cand = ista_step(params, g, spec, trial)
-                cand_cost, _ = penalized(cand)
-                if cand_cost <= cur + 1e-12 * max(1.0, abs(cur)):
-                    accepted = True
-                    break
-                trial *= 0.5
-            if not accepted:
-                # no descent representable at float resolution
-                hit_budget = False
-                break
-            params = cand
-            updates += 1
-            improve = (cur - cand_cost) / max(1.0, cur)
-            cur = cand_cost
-            step = min(2.0 * trial, 2.0 ** 20) if k == 0 else trial
-            if improve < cfg.final_tol:
-                hit_budget = False
-                break
-    rec = PhaseRecord("sparsify", lam, nu, updates, float(initial), float(cur))
-    return params, rec, perfect, hit_budget
+            trial *= 0.5
+        else:
+            # no descent representable at float resolution
+            stop = STOP_STALLED
+            break
+        params, pred, cache = cand, cand_pred, cand_cache
+        updates += 1
+        improve = (cur - cand_cost) / max(1.0, cur)
+        cur = cand_cost
+        step = min(2.0 * trial, 2.0 ** 20) if k == 0 else trial
+        if improve < FINAL_TOL:
+            stop = STOP_CONVERGED
+            break
+    return params, PhaseRecord("sparsify", lam, nu, updates, float(initial), float(cur), stop)
+
+
+def _status(phases):
+    """PerfectFit if any phase reached a zero residual, else MaxIters if
+    any used up its budget, else Converged (a stalled line search
+    included)."""
+    stops = {ph.stop for ph in phases}
+    if STOP_PERFECT in stops:
+        return STATUS_PERFECT
+    if STOP_BUDGET in stops:
+        return STATUS_MAX_ITERS
+    return STATUS_CONVERGED
 
 
 def fit(X, Y, task, arch, config=None, lambda_qut=None):
     """Run the full pipeline on standardized features.
 
     Returns a FitResult holding the pruned network, the selected feature
-    indices (into X's columns), the regularization level, per-phase cost
+    indices (into X's columns), the regularization level, per-phase
     records, and a status: Converged, MaxIters if any phase exhausted its
     budget, or PerfectFit on an exactly zero regression residual.
     """
@@ -238,7 +241,6 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         raise ValueError("output dimension mismatch")
     if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    fractions = cfg.fractions()
 
     if lambda_qut is None:
         est = compute_qut(X, Y, task, arch, alpha=cfg.alpha, n_mc=cfg.n_mc, seed=(int(cfg.seed), 1))
@@ -258,51 +260,36 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
     warm_base = lambda_qut / depth_scale(arch)
 
     phases = []
-    perfect = False
-    budget_hit = False
-    for i, (frac, nu) in enumerate(zip(fractions[:-1], cfg.nu_schedule)):
-        rec, perfect, hb = _adam_phase(
-            params, arch, X, Y, task, cfg, frac * warm_base, float(nu), cfg.warm_tol, "warm%d" % i
-        )
-        phases.append(rec)
-        budget_hit = budget_hit or hb
+    for i, (frac, nu) in enumerate(zip(LAMBDA_FRACTIONS[:-1], NU_SCHEDULE)):
+        phases.append(_adam_phase(
+            params, arch, X, Y, task, cfg, frac * warm_base, nu, WARM_TOL, "warm%d" % i
+        ))
         network.repair_zero_rows(params, rng)
-        if perfect:
+        if phases[-1].stop == STOP_PERFECT:
             break
-    if not perfect:
-        params, rec, perfect, hb = _final_phase(
-            params, arch, X, Y, task, lambda_qut, float(cfg.nu_schedule[-1]), cfg
-        )
+    else:  # no warm phase reached a perfect fit
+        params, rec = _final_phase(params, arch, X, Y, task, lambda_qut, NU_SCHEDULE[-1], cfg)
         phases.append(rec)
-        budget_hit = budget_hit or hb
 
     pruned, parch, selected = network.prune(params, arch)
     Xs = X[:, selected]
-    if cfg.refit and not perfect:
+    if phases[-1].stop != STOP_PERFECT:
         if selected.size == 0:
             pruned.intercept = null_constant(task, Y)
-            phases.append(PhaseRecord("refit", 0.0, None, 0, None, None))
+            phases.append(PhaseRecord("refit", 0.0, None, 0, None, None, STOP_CONVERGED))
         else:
-            rec, perfect, hb = _adam_phase(
-                pruned, parch, Xs, Y, task, cfg, 0.0, None, cfg.final_tol, "refit"
-            )
-            phases.append(rec)
-            budget_hit = budget_hit or hb
+            phases.append(_adam_phase(
+                pruned, parch, Xs, Y, task, cfg, 0.0, None, FINAL_TOL, "refit"
+            ))
 
     train_loss = loss_value(task, network.forward(pruned, parch, Xs), Y)
-    if perfect:
-        status = STATUS_PERFECT
-    elif budget_hit:
-        status = STATUS_MAX_ITERS
-    else:
-        status = STATUS_CONVERGED
     return FitResult(
         params=pruned,
         arch=parch,
         selected=selected,
         lambda_qut=lambda_qut,
         phases=phases,
-        status=status,
+        status=_status(phases),
         train_loss=float(train_loss),
         task=task,
     )

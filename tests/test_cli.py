@@ -62,6 +62,9 @@ def case_id(case):
 
 BAD_QUT_OPTIONS = [("--alpha", "2"), ("--alpha", "0"), ("--n-mc", "0"), {"alpha": 1.5},
                    {"n_mc": -3}, {"alpha": "high"}]
+# seed, network and task options of qut and fit
+BAD_DATASET_OPTIONS = [("--seed", "-1"), {"hidden": "20"}, {"hidden": 20},
+                       {"activation": "tanh"}, {"task": "foo"}]
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +118,7 @@ class TestQut:
             lams[alpha] = json.load(open(tmp_path / alpha / "qut.json"))["lambda_qut"]
         assert lams["0.5"] <= lams["0.05"]
 
-    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS, ids=case_id)
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + BAD_DATASET_OPTIONS, ids=case_id)
     def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
         train = tmp_path / "train.csv"
         make_regression_csv(train)
@@ -196,7 +199,7 @@ class TestFit:
         assert rc == EXIT_BUDGET
         assert json.load(open(tmp_path / "model.json"))["status"] == "MaxIters"
 
-    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + [
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + BAD_DATASET_OPTIONS + [
         ("--max-phase-iters", "-1"), ("--max-phase-iters", "0"), {"max_phase_iters": 0},
     ], ids=case_id)
     def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
@@ -371,9 +374,12 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS, ids=case_id)
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + [
+        {"runs": "x"}, {"hidden": ["a"]}, ("--jobs", "0"), ("--jobs", "-3"),
+    ], ids=case_id)
     def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
-        rc = main(["simulate", "linear", "--n", "40", "--p", "8", "--s", "0,1", "--runs", "1",
+        # no --runs flag, so a config "runs" entry is read
+        rc = main(["simulate", "linear", "--n", "40", "--p", "8", "--s", "0,1",
                    "--jobs", "1", "--output-dir", str(tmp_path / "out")]
                   + bad_option_args(tmp_path, case))
         assert_usage_error(rc, capsys, tmp_path / "out" / "sweep_records.jsonl")

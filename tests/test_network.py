@@ -10,7 +10,6 @@ from qutsparse.network import (
     forward_cached,
     init_params,
     normalize_rows,
-    parameter_count,
     params_from_dict,
     params_to_dict,
     prune,
@@ -267,11 +266,6 @@ class TestPrune:
 
 
 class TestUtilities:
-    def test_parameter_count(self):
-        assert parameter_count(Architecture(3, (4, 2), 1)) == 29
-        assert parameter_count(Architecture(10, (), 1)) == 11
-        assert parameter_count(Architecture(2, (3,), 2)) == 17
-
     def test_normalize_rows_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize_rows(np.array([[0.0, 0.0], [1.0, 2.0]]))

@@ -5,13 +5,22 @@ from qutsparse.losses import TaskSpec, loss_value, null_constant
 from qutsparse.network import Architecture, forward, init_params
 from qutsparse.penalty import prox, solve_threshold
 from qutsparse.trainer import (
+    FINAL_TOL,
+    LAMBDA_FRACTIONS,
+    NU_SCHEDULE,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
     STATUS_PERFECT,
+    STOP_BUDGET,
+    STOP_CONVERGED,
+    STOP_PERFECT,
+    STOP_STALLED,
+    WARM_TOL,
+    PhaseRecord,
     TrainConfig,
     _adam_phase,
     _final_phase,
-    default_lambda_fractions,
+    _status,
     fit,
     ista_step,
 )
@@ -41,23 +50,15 @@ def linear_params(p, w=None):
 
 class TestSchedule:
     def test_default_fractions(self):
-        np.testing.assert_allclose(default_lambda_fractions(), FRACTIONS, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(LAMBDA_FRACTIONS, FRACTIONS, rtol=0, atol=1e-15)
 
     def test_fractions_last_is_one(self):
-        assert default_lambda_fractions()[-1] == 1.0
+        assert LAMBDA_FRACTIONS[-1] == 1.0
 
-    def test_config_fraction_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lambda_fractions=(0.5, 0.2, 1.0)).fractions()
-        with pytest.raises(ValueError):
-            TrainConfig(lambda_fractions=(0.2, 0.5, 0.9)).fractions()
-        with pytest.raises(ValueError):
-            TrainConfig(lambda_fractions=(0.2, 1.0)).fractions()
-
-    def test_config_lengths_must_match(self):
-        cfg = TrainConfig(nu_schedule=(0.9, 0.1), lambda_fractions=(0.2, 0.5, 0.8, 1.0))
-        with pytest.raises(ValueError):
-            cfg.fractions()
+    def test_one_fraction_per_shape_plus_the_exact_phase(self):
+        assert len(LAMBDA_FRACTIONS) == len(NU_SCHEDULE) + 1
+        assert all(a < b for a, b in zip(LAMBDA_FRACTIONS, LAMBDA_FRACTIONS[1:]))
+        assert all(a > b for a, b in zip(NU_SCHEDULE, NU_SCHEDULE[1:]))
 
 
 class TestIstaStep:
@@ -107,13 +108,13 @@ class TestPhases:
         arch = Architecture(6, (4,), 1, "softplus")
         params = init_params(arch, rng)
         cfg = TrainConfig(seed=0)
-        _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, cfg.warm_tol, "a")
+        _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, WARM_TOL, "a")
         from qutsparse.penalty import penalty_value
 
         expected = loss_value(REG, forward(params, arch, X), Y) + 0.6 * float(
             np.sum(penalty_value(params.w1, 0.7))
         )
-        rec, _, _ = _adam_phase(params, arch, X, Y, REG, cfg, 0.6, 0.7, cfg.warm_tol, "b")
+        rec = _adam_phase(params, arch, X, Y, REG, cfg, 0.6, 0.7, WARM_TOL, "b")
         assert rec.initial_cost == pytest.approx(expected, rel=1e-12)
 
     def test_final_phase_monotone_and_support_stable(self):
@@ -124,12 +125,11 @@ class TestPhases:
         arch = Architecture(8, (), 1)
         params = init_params(arch, rng)
         cfg = TrainConfig(seed=0)
-        params, rec, _, _ = _final_phase(params, arch, X, Y, REG, 2.0, 0.1, cfg)
+        params, rec = _final_phase(params, arch, X, Y, REG, 2.0, 0.1, cfg)
         assert rec.final_cost <= rec.initial_cost + 1e-10
         support = params.w1 != 0.0
-        params2, rec2, _, _ = _final_phase(params.copy(), arch, X, Y, REG, 2.0, 0.1, cfg)
+        params2, rec2 = _final_phase(params.copy(), arch, X, Y, REG, 2.0, 0.1, cfg)
         assert np.array_equal(params2.w1 != 0.0, support)
-
 
     def budget_problem(self):
         rng = np.random.default_rng(5)
@@ -141,22 +141,65 @@ class TestPhases:
 
     def test_warm_phase_out_of_budget_reports_every_update(self):
         params, arch, X, Y, cfg = self.budget_problem()
-        rec, _, hit_budget = _adam_phase(
-            params, arch, X, Y, REG, cfg, 0.3, 0.9, cfg.warm_tol, "warm0"
-        )
-        assert hit_budget and rec.iterations == 3
+        rec = _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, WARM_TOL, "warm0")
+        assert rec.stop == STOP_BUDGET and rec.iterations == 3
 
     def test_final_phase_out_of_budget_reports_every_update(self):
         params, arch, X, Y, cfg = self.budget_problem()
-        _, rec, _, hit_budget = _final_phase(params, arch, X, Y, REG, 0.5, 0.1, cfg)
-        assert hit_budget and rec.iterations == 3
+        _, rec = _final_phase(params, arch, X, Y, REG, 0.5, 0.1, cfg)
+        assert rec.stop == STOP_BUDGET and rec.iterations == 3
 
     def test_refit_phase_out_of_budget_reports_every_update(self):
         params, arch, X, Y, cfg = self.budget_problem()
-        rec, _, hit_budget = _adam_phase(
-            params, arch, X, Y, REG, cfg, 0.0, None, cfg.final_tol, "refit"
-        )
-        assert hit_budget and rec.iterations == 3
+        rec = _adam_phase(params, arch, X, Y, REG, cfg, 0.0, None, FINAL_TOL, "refit")
+        assert rec.stop == STOP_BUDGET and rec.iterations == 3
+
+    def test_warm_phase_converges(self):
+        params, arch, X, Y, _ = self.budget_problem()
+        cfg = TrainConfig(seed=0)
+        rec = _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, WARM_TOL, "warm0")
+        assert rec.stop == STOP_CONVERGED
+        assert 0 < rec.iterations < cfg.max_phase_iters
+
+    def test_final_phase_converges(self):
+        params, arch, X, Y, _ = self.budget_problem()
+        cfg = TrainConfig(seed=0)
+        _, rec = _final_phase(params, arch, X, Y, REG, 0.5, 0.1, cfg)
+        assert rec.stop == STOP_CONVERGED
+        assert 0 < rec.iterations < cfg.max_phase_iters
+
+    def perfect_problem(self, hidden):
+        # Y is the start network's own output, so the residual is exactly zero.
+        rng = np.random.default_rng(6)
+        X = rng.normal(0, 1, (30, 5))
+        arch = Architecture(5, hidden, 1)
+        params = init_params(arch, rng)
+        return params, arch, X, forward(params, arch, X), TrainConfig(seed=0)
+
+    def test_adam_phase_stops_on_perfect_fit(self):
+        params, arch, X, Y, cfg = self.perfect_problem((4,))
+        w1 = params.w1.copy()
+        rec = _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, WARM_TOL, "warm0")
+        assert rec.stop == STOP_PERFECT and rec.iterations == 0
+        np.testing.assert_array_equal(params.w1, w1)
+
+    def test_final_phase_stops_on_perfect_fit(self):
+        params, arch, X, Y, cfg = self.perfect_problem(())
+        out, rec = _final_phase(params, arch, X, Y, REG, 0.5, 0.1, cfg)
+        assert rec.stop == STOP_PERFECT and rec.iterations == 0
+        assert out is params
+
+
+class TestStatus:
+    @staticmethod
+    def records(*stops):
+        return [PhaseRecord("p%d" % i, 0.0, None, 0, 0.0, 0.0, s) for i, s in enumerate(stops)]
+
+    def test_status_from_stop_reasons(self):
+        assert _status(self.records(STOP_CONVERGED, STOP_STALLED)) == STATUS_CONVERGED
+        assert _status(self.records(STOP_CONVERGED, STOP_BUDGET)) == STATUS_MAX_ITERS
+        assert _status(self.records(STOP_BUDGET, STOP_PERFECT)) == STATUS_PERFECT
+
 
 class TestFit:
     def make_linear(self, seed=0, n=70, p=25, beta=3.0):
@@ -203,6 +246,15 @@ class TestFit:
         np.testing.assert_allclose(res.params.intercept, null_constant(REG, Y), atol=1e-12)
         pred = res.predict(X)
         assert np.all(pred == pred[0])
+
+    def test_status_follows_the_phase_records(self):
+        X, Y = self.make_linear()
+        arch = Architecture(25, (), 1)
+        for cfg in (TrainConfig(seed=0), TrainConfig(seed=0, max_phase_iters=3)):
+            res = fit(X, Y, REG, arch, cfg)
+            assert res.status == _status(res.phases)
+        assert {ph.stop for ph in res.phases} == {STOP_BUDGET}
+        assert res.status == STATUS_MAX_ITERS
 
     def test_budget_exhaustion_reports_max_iters(self):
         X, Y = self.make_linear()
