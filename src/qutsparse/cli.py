@@ -134,9 +134,9 @@ def _qut_options(args, config):
     return alpha, n_mc
 
 
-def _seed(args):
-    """--seed; it always has a value, so the config file cannot set it."""
-    return _checked(args, {}, "seed", None, int, lambda k: k >= 0, "an integer >= 0")
+def _seed(args, config):
+    """The base seed: --seed, else the config file's, else 0."""
+    return _checked(args, config, "seed", 0, int, lambda k: k >= 0, "an integer >= 0")
 
 
 def _widths(value):
@@ -195,7 +195,7 @@ def _selected_entries(ds, selected):
 def cmd_qut(args):
     config = _load_config(args.config)
     alpha, n_mc = _qut_options(args, config)
-    seed = _seed(args)
+    seed = _seed(args, config)
     ds, task, arch = _ingest(args, config)
     est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=seed)
     if not np.isfinite(est.lambda_qut):
@@ -226,7 +226,7 @@ def cmd_fit(args):
     alpha, n_mc = _qut_options(args, config)
     max_phase_iters = _checked(args, config, "max_phase_iters", 5000, int,
                                lambda k: k >= 1, "an integer >= 1")
-    seed = _seed(args)
+    seed = _seed(args, config)
     ds, task, arch = _ingest(args, config)
     train_cfg = TrainConfig(alpha=alpha, n_mc=n_mc, max_phase_iters=max_phase_iters,
                             seed=seed)
@@ -373,10 +373,12 @@ def cmd_simulate(args):
     n_runs = _checked(args, config, "runs", 25, int, lambda k: k >= 1, "an integer >= 1")
     n_test = _checked(args, config, "n_test", 1000, int, lambda k: k >= 1, "an integer >= 1")
     alpha, n_mc = _qut_options(args, config)
-    jobs = _checked(args, {}, "jobs", None, int, lambda k: k >= 1, "an integer >= 1")
+    seed = _seed(args, config)
+    jobs = _checked(args, config, "jobs", os.cpu_count() or 1, int, lambda k: k >= 1,
+                    "an integer >= 1")
     try:
         for s in args.s:
-            ScenarioSpec(args.kind, n, p, s, n_test=n_test, n_runs=n_runs, seed=args.seed)
+            ScenarioSpec(args.kind, n, p, s, n_test=n_test, n_runs=n_runs, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -385,7 +387,7 @@ def cmd_simulate(args):
     rows, _records = sweep(
         args.kind, n, p, args.s,
         hidden=hidden, activation=activation, n_runs=n_runs, n_test=n_test,
-        seed=args.seed, alpha=alpha, n_mc=n_mc, jobs=jobs,
+        seed=seed, alpha=alpha, n_mc=n_mc, jobs=jobs,
         records_path=records_path, resume=args.resume,
     )
     wall = time.monotonic() - t0
@@ -395,7 +397,7 @@ def cmd_simulate(args):
     write_manifest(
         _out_path(args, "sweep_manifest.json"),
         args.kind, n, p, args.s, hidden, activation, n_runs, n_test,
-        args.seed, alpha, n_mc, jobs, wall,
+        seed, alpha, n_mc, jobs, wall,
     )
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))
@@ -411,7 +413,7 @@ def cmd_simulate(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    common.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     common.add_argument("--config", default=None, help="JSON file with option defaults")
     common.add_argument("--output-dir", default=".", help="directory for output files")
 
@@ -471,7 +473,7 @@ def build_parser():
                        default=None)
     p_sim.add_argument("--alpha", type=float, default=None)
     p_sim.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p_sim.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: available cores)")
     p_sim.add_argument("--resume", action="store_true",
                        help="skip trials already present in sweep_records.jsonl")

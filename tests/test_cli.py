@@ -118,6 +118,24 @@ class TestQut:
             lams[alpha] = json.load(open(tmp_path / alpha / "qut.json"))["lambda_qut"]
         assert lams["0.5"] <= lams["0.05"]
 
+    def test_config_seed_and_flag_precedence(self, tmp_path):
+        train = tmp_path / "train.csv"
+        make_regression_csv(train)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        runs = {"none": [], "config": ["--config", str(cfg)], "flag": ["--seed", "5"],
+                "both": ["--config", str(cfg), "--seed", "0"]}
+        lams = {}
+        for name, extra in runs.items():
+            rc = main(["qut", str(train), "--target", "y", "--n-mc", "100",
+                       "--output-dir", str(tmp_path / name)] + extra)
+            assert rc == EXIT_OK
+            out = json.load(open(tmp_path / name / "qut.json"))
+            lams[name] = (out["seed"], out["lambda_qut"])
+        assert lams["config"] == lams["flag"] and lams["config"][0] == 5
+        assert lams["both"] == lams["none"] and lams["none"][0] == 0
+        assert lams["config"][1] != lams["none"][1]
+
     @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + BAD_DATASET_OPTIONS, ids=case_id)
     def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
         train = tmp_path / "train.csv"
@@ -224,18 +242,20 @@ class TestFit:
         train = tmp_path / "train.csv"
         make_regression_csv(train, n=50, p=4, signal_col=1, seed=5)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hidden": [], "n_mc": 100, "alpha": 0.05}))
+        cfg.write_text(json.dumps({"hidden": [], "n_mc": 100, "alpha": 0.05, "seed": 5}))
         rc = main(["fit", str(train), "--target", "y", "--config", str(cfg),
                    "--output-dir", str(tmp_path / "a")])
         assert rc == EXIT_OK
         model = json.load(open(tmp_path / "a" / "model.json"))
         assert model["config"]["hidden"] == []
         assert model["config"]["n_mc"] == 100
+        assert model["config"]["seed"] == 5
         rc = main(["fit", str(train), "--target", "y", "--config", str(cfg),
-                   "--n-mc", "120", "--output-dir", str(tmp_path / "b")])
+                   "--n-mc", "120", "--seed", "2", "--output-dir", str(tmp_path / "b")])
         assert rc == EXIT_OK
         model = json.load(open(tmp_path / "b" / "model.json"))
         assert model["config"]["n_mc"] == 120
+        assert model["config"]["seed"] == 2
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +387,23 @@ class TestSimulate:
                    "--output-dir", str(part)] + self.ARGS)
         assert rc == EXIT_OK
         assert (part / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+
+    def test_config_seed_and_jobs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "jobs": 2}))
+        base = ["simulate", "linear", "--n", "40", "--p", "8", "--s", "0,1", "--runs", "1",
+                "--n-test", "50", "--n-mc", "50"]
+        runs = {"config": ["--config", str(cfg)], "flags": ["--seed", "5", "--jobs", "1"],
+                "both": ["--config", str(cfg), "--seed", "0", "--jobs", "1"]}
+        for name, extra in runs.items():
+            assert main(base + extra + ["--output-dir", str(tmp_path / name)]) == EXIT_OK
+        manifest = {name: json.load(open(tmp_path / name / "sweep_manifest.json"))
+                    for name in runs}
+        assert (manifest["config"]["scenario"]["seed"], manifest["config"]["jobs"]) == (5, 2)
+        assert (manifest["both"]["scenario"]["seed"], manifest["both"]["jobs"]) == (0, 1)
+        records = {name: sorted(open(tmp_path / name / "sweep_records.jsonl").read().splitlines())
+                   for name in runs}
+        assert records["config"] == records["flags"] != records["both"]
 
     def test_invalid_scenario_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "absdiff", "--s", "3", "--jobs", "1",

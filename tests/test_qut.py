@@ -1,10 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from qutsparse.losses import TaskSpec, null_constant
 from qutsparse.network import Architecture, forward_cached, backward, init_params, normalize_rows
 from qutsparse.losses import loss_and_grad
-from qutsparse.qut import QutEstimate, compute_qut, depth_scale, null_statistic, sample_null
+from qutsparse.qut import (
+    BLOCK,
+    QutEstimate,
+    _block_statistics,
+    _child_states,
+    compute_qut,
+    depth_scale,
+    null_statistic,
+    sample_null,
+)
 
 REG = TaskSpec("regression", 1)
 LIN = Architecture(3, (), 1)
@@ -167,6 +178,8 @@ class TestComputeQut:
             compute_qut(X, Y, REG, LIN, alpha=0.0)
         with pytest.raises(ValueError):
             compute_qut(X, Y, REG, LIN, n_mc=0)
+        with pytest.raises(ValueError):
+            compute_qut(X, Y, REG, LIN, seed=-1)
 
     def test_to_dict(self):
         X = np.eye(3)
@@ -176,6 +189,63 @@ class TestComputeQut:
         assert d["n_mc"] == 10 and d["seed"] == 4
         assert len(d["samples"]) == 10
         assert isinstance(d["lambda_qut"], float)
+
+    def test_to_dict_numpy_and_none_seeds(self):
+        X = np.eye(3)
+        Y = np.array([[1.0], [2.0], [3.0]])
+        d = compute_qut(X, Y, REG, LIN, n_mc=10, seed=np.int64(3)).to_dict()
+        assert d["seed"] == 3 and type(d["seed"]) is int
+        d = compute_qut(X, Y, REG, LIN, n_mc=10, seed=(np.int64(3), 1)).to_dict()
+        assert d["seed"] == [3, 1] and all(type(s) is int for s in d["seed"])
+        # seed=None records the entropy it drew, which repeats the run
+        est = compute_qut(X, Y, REG, LIN, n_mc=10, seed=None)
+        d = json.loads(json.dumps(est.to_dict()))
+        assert type(d["seed"]) is int
+        again = compute_qut(X, Y, REG, LIN, n_mc=10, seed=d["seed"])
+        np.testing.assert_array_equal(again.samples, est.samples)
+
+
+class TestNullDrawStream:
+    """Draw i of compute_qut(..., n_mc, seed) comes from
+    default_rng(SeedSequence(seed).spawn(n_mc)[i]), bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, (0, 1), (2**32 - 1, 1), np.int64(7)]
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("seed", SEEDS + [None], ids=repr)
+    def test_child_states_match_spawn(self, seed, n):
+        ss = np.random.SeedSequence(seed)
+        # None: the entropy SeedSequence drew is what compute_qut records
+        entropy = ss.entropy
+        expect = np.array([c.generate_state(4, np.uint64) for c in ss.spawn(n)])
+        got = _child_states(entropy, n)
+        assert got.dtype == np.uint64 and got.shape == (n, 4)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_samples_bitwise_equal_block_reference(self):
+        # 70 draws: two full blocks and a ragged one
+        rng = np.random.default_rng(12)
+        n, p, n_mc = 40, 15, 70
+        X = rng.normal(0, 1, (n, p))
+        labels = rng.integers(0, 3, n)
+        cases = [
+            (REG, rng.normal(0, 1, (n, 1)), Architecture(p, (), 1), 0),
+            (TaskSpec("classification", 3), np.eye(3)[labels], Architecture(p, (6,), 3),
+             (2**33 + 5, 1)),
+            (TaskSpec("regression", 2), rng.normal(0, 1, (n, 2)),
+             Architecture(p, (8, 4), 2, "softplus"), (12345, 1)),
+        ]
+        for task, Y, arch, seed in cases:
+            children = np.random.SeedSequence(seed).spawn(n_mc)
+            ref = np.empty(n_mc)
+            for a in range(0, n_mc, BLOCK):
+                block = children[a:a + BLOCK]
+                Y0 = np.empty((n, len(block), Y.shape[1]))
+                for i, child in enumerate(block):
+                    Y0[:, i, :] = sample_null(task, Y, np.random.default_rng(child))
+                ref[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
+            got = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=seed)
+            np.testing.assert_array_equal(got.samples, ref)
 
 
 class TestGradientBound:
