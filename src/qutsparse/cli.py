@@ -261,6 +261,7 @@ def cmd_fit(args):
                 "iterations": int(ph.iterations),
                 "initial_cost": _opt_float(ph.initial_cost),
                 "final_cost": _opt_float(ph.final_cost),
+                "stop": ph.stop,
             }
             for ph in res.phases
         ],
@@ -412,10 +413,12 @@ def cmd_simulate(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-dir", default=".", help="directory for output files")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     common.add_argument("--config", default=None, help="JSON file with option defaults")
-    common.add_argument("--output-dir", default=".", help="directory for output files")
 
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("data", help="CSV file")
@@ -451,7 +454,7 @@ def build_parser():
     p_fit.add_argument("--max-phase-iters", dest="max_phase_iters", type=int, default=None)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pred = sub.add_parser("predict", parents=[common],
+    p_pred = sub.add_parser("predict", parents=[output],
                             help="apply a model file to a feature CSV")
     p_pred.add_argument("model", help="model.json written by fit")
     p_pred.add_argument("data", help="CSV file with the selected feature columns")

@@ -12,9 +12,17 @@ Activations are unbounded above with derivative bounded by 1 (relu,
 leaky relu with slope 0.01, softplus); the output layer is affine.  A
 network with no hidden layers degenerates to the linear model, where the
 single weight matrix is penalized and unnormalized.
+
+All parameters live in one contiguous float64 vector, ``NetworkParams.flat``:
+w1, then the deep matrices from layer 2 up, then the hidden biases, then
+the output intercept, each block row-major.  The block attributes are
+views into that vector, and backward() returns its gradient in a new
+vector with the same layout.  So an optimizer step, a parameter copy or
+a gradient step is one array operation, and only the prox touches a
+single block, the w1 slice.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,25 +58,75 @@ class Architecture:
         return (self.input_dim,) + self.hidden + (self.output_dim,)
 
 
-@dataclass
+class _Views(list):
+    """Block views into a parameter buffer; assigning an element writes
+    into the buffer instead of replacing the view."""
+
+    def __setitem__(self, i, value):
+        self[i][...] = value
+
+
+def _block(name):
+    """A block attribute that reads its view and writes through it."""
+
+    def put(self, value):
+        view = self.__dict__[name]
+        if isinstance(view, _Views):
+            for v, b in zip(view, value, strict=True):
+                v[...] = b
+        else:
+            view[...] = value
+
+    return property(lambda self: self.__dict__[name], put)
+
+
 class NetworkParams:
     """w1 is the penalized first matrix (first hidden width x input_dim, or
     output_dim x input_dim for the linear model).  deep holds the stored
     unnormalized matrices of layers 2..L, biases the hidden-layer offsets,
-    intercept the output offset."""
+    intercept the output offset.
 
-    w1: np.ndarray
-    deep: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    intercept: np.ndarray = None
+    The blocks are packed into the one vector ``flat`` in the order w1,
+    deep, biases, intercept, and the attributes are views into it.
+    Assigning to an attribute, or to an element of deep or biases, writes
+    into ``flat``."""
+
+    w1 = _block("w1")
+    deep = _block("deep")
+    biases = _block("biases")
+    intercept = _block("intercept")
+
+    def __init__(self, w1, deep=(), biases=(), intercept=None):
+        w1 = np.asarray(w1, dtype=np.float64)
+        if intercept is None:
+            intercept = np.zeros((deep[-1] if len(deep) else w1).shape[0])
+        blocks = [w1] + [np.asarray(b, dtype=np.float64) for b in (*deep, *biases, intercept)]
+        layout, k = [], 0
+        for b in blocks:
+            layout.append((k, k + b.size, b.shape))
+            k += b.size
+        self._layout = tuple(layout)
+        self._bind(np.concatenate([b.ravel() for b in blocks]))
+
+    def _bind(self, flat):
+        views = [flat[a:b].reshape(shape) for a, b, shape in self._layout]
+        n = (len(views) - 2) // 2
+        d = self.__dict__
+        d["flat"] = flat
+        d["w1"] = views[0]
+        d["deep"] = _Views(views[1:1 + n])
+        d["biases"] = _Views(views[1 + n:-1])
+        d["intercept"] = views[-1]
+
+    def like(self, flat):
+        """Parameters with this layout viewing ``flat`` (no copy)."""
+        out = object.__new__(NetworkParams)
+        out._layout = self._layout
+        out._bind(flat)
+        return out
 
     def copy(self):
-        return NetworkParams(
-            w1=self.w1.copy(),
-            deep=[d.copy() for d in self.deep],
-            biases=[b.copy() for b in self.biases],
-            intercept=self.intercept.copy(),
-        )
+        return self.like(self.flat.copy())
 
 
 def _act(name, z):
@@ -175,29 +233,26 @@ def forward(params, arch, X):
 
 def backward(params, arch, cache, dpred):
     """Gradients of a scalar function of the predictions with respect to
-    every parameter block, given dpred = d(scalar)/d(predictions)."""
+    every parameter, given dpred = d(scalar)/d(predictions), packed in
+    one new buffer with the layout of params."""
     acts, zs, Vs, norms = cache
     L = arch.n_layers
-    g = NetworkParams(
-        w1=None,
-        deep=[None] * len(params.deep),
-        biases=[None] * len(params.biases),
-        intercept=dpred.sum(axis=0),
-    )
+    g = params.like(np.empty_like(params.flat))
+    g.intercept[...] = dpred.sum(axis=0)
     if L == 1:
-        g.w1 = dpred.T @ acts[0]
+        g.w1[...] = dpred.T @ acts[0]
         return g
     dE = dpred.T @ acts[L - 1]
-    g.deep[L - 2] = _norm_backward(Vs[L - 2], norms[L - 2], dE)
+    g.deep[L - 2][...] = _norm_backward(Vs[L - 2], norms[L - 2], dE)
     U = dpred @ Vs[L - 2]
     for l in range(L - 1, 0, -1):
         Dl = U * _act_deriv(arch.activation, zs[l - 1])
-        g.biases[l - 1] = Dl.sum(axis=0)
+        g.biases[l - 1][...] = Dl.sum(axis=0)
         dE = Dl.T @ acts[l - 1]
         if l == 1:
-            g.w1 = dE
+            g.w1[...] = dE
         else:
-            g.deep[l - 2] = _norm_backward(Vs[l - 2], norms[l - 2], dE)
+            g.deep[l - 2][...] = _norm_backward(Vs[l - 2], norms[l - 2], dE)
             U = Dl @ Vs[l - 2]
     return g
 
@@ -220,33 +275,21 @@ def prune(params, arch):
         probe = np.zeros((1, arch.input_dim))
         const = forward(params, arch, probe)[0]
         p_arch = Architecture(0, (), arch.output_dim, arch.activation)
-        p_params = NetworkParams(
-            w1=np.zeros((arch.output_dim, 0)),
-            deep=[],
-            biases=[],
-            intercept=const.copy(),
-        )
-        return p_params, p_arch, selected
+        return NetworkParams(w1=np.zeros((arch.output_dim, 0)), intercept=const), p_arch, selected
     if arch.n_layers == 1:
         p_arch = Architecture(selected.size, (), arch.output_dim, arch.activation)
-        p_params = NetworkParams(
-            w1=w1[:, selected].copy(),
-            deep=[],
-            biases=[],
-            intercept=params.intercept.copy(),
-        )
+        p_params = NetworkParams(w1=w1[:, selected], intercept=params.intercept)
         return p_params, p_arch, selected
     alive = np.flatnonzero(np.any(w1 != 0.0, axis=1))
     if alive.size == w1.shape[0] and selected.size == w1.shape[1]:
         return params.copy(), arch, selected
     if alive.size == w1.shape[0]:
         p_arch = Architecture(selected.size, arch.hidden, arch.output_dim, arch.activation)
-        p_params = params.copy()
-        p_params.w1 = w1[:, selected].copy()
+        p_params = NetworkParams(w1[:, selected], params.deep, params.biases, params.intercept)
         return p_params, p_arch, selected
     dead = np.setdiff1d(np.arange(w1.shape[0]), alive)
-    w1p = w1[np.ix_(alive, selected)].copy()
-    b1p = params.biases[0][alive].copy()
+    w1p = w1[np.ix_(alive, selected)]
+    b1p = params.biases[0][alive]
     V2, _ = normalize_rows(params.deep[0])
     const = V2[:, dead] @ _act(arch.activation, params.biases[0][dead])
     W2p = V2[:, alive].copy()
@@ -256,14 +299,12 @@ def prune(params, arch):
         W2p[rn == 0.0] = 1.0 / np.sqrt(W2p.shape[1])
     p_hidden = (alive.size,) + arch.hidden[1:]
     p_arch = Architecture(selected.size, p_hidden, arch.output_dim, arch.activation)
-    deep_p = [W2p] + [d.copy() for d in params.deep[1:]]
-    biases_p = [b1p] + [b.copy() for b in params.biases[1:]]
-    intercept_p = params.intercept.copy()
+    p_params = NetworkParams(w1p, [W2p] + params.deep[1:], [b1p] + params.biases[1:],
+                             params.intercept)
     if arch.n_layers == 2:
-        intercept_p = intercept_p + const
+        p_params.intercept += const
     else:
-        biases_p[1] = biases_p[1] + const
-    p_params = NetworkParams(w1=w1p, deep=deep_p, biases=biases_p, intercept=intercept_p)
+        p_params.biases[1] += const
     return p_params, p_arch, selected
 
 

@@ -55,6 +55,16 @@ def penalty_slope(theta, nu):
     return np.sign(theta) * (1.0 + nu * t) / (1.0 + t) ** 2
 
 
+def penalty_value_and_slope(theta, nu):
+    """penalty_value and penalty_slope from one shared |theta|**(1 - nu);
+    each result equals its single-purpose counterpart bit for bit."""
+    _validate(0.0, nu)
+    a = np.abs(theta)
+    t = a ** (1.0 - nu)
+    d = 1.0 + t
+    return a / d, np.sign(theta) * (1.0 + nu * t) / d ** 2
+
+
 def _solve_jump(lam, nu):
     """Positive root of the jump equation for 0 < nu < 1, lam > 0."""
     # Monotone reformulation t**(1 - nu/2) + t**(nu/2) = sqrt(2*lam*(1-nu)).

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import network
 from .losses import loss_and_grad, loss_value, null_constant
-from .penalty import penalty_slope, penalty_value, prox_vector, solve_threshold
+from .penalty import penalty_value, penalty_value_and_slope, prox_vector, solve_threshold
 from .qut import compute_qut, depth_scale
 
 STATUS_CONVERGED = "Converged"
@@ -85,40 +85,36 @@ class FitResult:
 
 
 class _Adam:
-    def __init__(self, blocks, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on one flat parameter vector."""
+
+    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(b) for b in blocks]
-        self.v = [np.zeros_like(b) for b in blocks]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, blocks, grads):
+    def step(self, x, g):
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for b, g, m, v in zip(blocks, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            b -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def _blocks(params):
-    return [params.w1] + params.deep + params.biases + [params.intercept]
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        x -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def ista_step(params, grads, spec, step):
-    """One joint proximal-gradient update: the penalized first matrix gets
-    the prox of its gradient step at effective regularization step*lam,
-    every other block takes the plain gradient step.  Returns new params."""
-    w1 = prox_vector(params.w1 - step * grads.w1, spec, step)
-    deep = [d - step * g for d, g in zip(params.deep, grads.deep)]
-    biases = [b - step * g for b, g in zip(params.biases, grads.biases)]
-    intercept = params.intercept - step * grads.intercept
-    return network.NetworkParams(w1=w1, deep=deep, biases=biases, intercept=intercept)
+    """One joint proximal-gradient update: a gradient step on every
+    parameter, then the prox of the penalized first matrix at effective
+    regularization step*lam.  Returns new params."""
+    out = params.like(params.flat - step * grads.flat)
+    out.w1 = prox_vector(out.w1, spec, step)
+    return out
 
 
 def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
@@ -127,20 +123,17 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     penalty term.  Stops when the relative cost change falls below tol,
     on an exactly zero regression residual, or after cfg.max_phase_iters
     updates.  Updates params in place and returns its PhaseRecord."""
-
-    def cost_of(ls):
-        if nu is None:
-            return ls
-        return ls + lam * float(np.sum(penalty_value(params.w1, nu)))
-
-    adam = _Adam(_blocks(params), WARM_LR)
+    adam = _Adam(params.flat.size, WARM_LR)
     prev = None
     initial = None
     stop = STOP_BUDGET
     for _ in range(cfg.max_phase_iters):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
-        cost = cost_of(ls)
+        cost = ls
+        if nu is not None:
+            pen, slope = penalty_value_and_slope(params.w1, nu)
+            cost = ls + lam * float(np.sum(pen))
         if initial is None:
             initial = cost
         if task.kind == "regression" and ls == 0.0:
@@ -151,11 +144,13 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
             break
         g = network.backward(params, arch, cache, dpred)
         if nu is not None:
-            g.w1 += lam * penalty_slope(params.w1, nu)
-        adam.step(_blocks(params), _blocks(g))
+            g.w1 += lam * slope
+        adam.step(params.flat, g.flat)
         prev = cost
     if stop == STOP_BUDGET:
-        cost = cost_of(loss_value(task, network.forward(params, arch, X), Y))
+        cost = loss_value(task, network.forward(params, arch, X), Y)
+        if nu is not None:
+            cost += lam * float(np.sum(penalty_value(params.w1, nu)))
     if initial is None:
         initial = cost
     return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qutsparse import cli, trainer
 from qutsparse.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -13,6 +14,7 @@ from qutsparse.cli import (
     _s_grid_type,
     main,
 )
+from qutsparse.trainer import STOP_BUDGET
 
 
 def write_csv_file(path, header, rows):
@@ -233,10 +235,30 @@ class TestFit:
         rows = [[repr(float(v)) for v in rng.normal(size=3)] + ["1e200"]
                 for _ in range(30)]
         write_csv_file(train, ["a", "b", "c", "y"], rows)
-        rc = main(["fit", str(train), "--target", "y", "--hidden", "none",
-                   "--n-mc", "50", "--max-phase-iters", "5",
-                   "--output-dir", str(tmp_path)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["fit", str(train), "--target", "y", "--hidden", "none",
+                       "--n-mc", "50", "--max-phase-iters", "5",
+                       "--output-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("budget", [None, "3"])
+    def test_model_records_each_phase_stop(self, tmp_path, monkeypatch, budget):
+        results = []
+
+        def recording_fit(*args, **kwargs):
+            results.append(trainer.fit(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        train = tmp_path / "train.csv"
+        make_regression_csv(train, n=50, p=4, signal_col=1, seed=6)
+        argv = ["fit", str(train), "--target", "y", "--hidden", "5", "--n-mc", "100",
+                "--output-dir", str(tmp_path)]
+        main(argv + (["--max-phase-iters", budget] if budget else []))
+        model = json.load(open(tmp_path / "model.json"))
+        stops = [ph.stop for ph in results[0].phases]
+        assert [ph["stop"] for ph in model["phases"]] == stops
+        assert (STOP_BUDGET in stops) == (budget is not None)
 
     def test_config_file_defaults_and_override(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -340,6 +362,16 @@ class TestPredict:
                    "--output-dir", str(tmp_path)])
         assert rc == EXIT_DATA
         assert "f4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [("--seed", "-5"), ("--config", "/nonexistent")],
+                             ids=lambda o: o[0])
+    def test_fit_only_options_are_usage_errors(self, trained, tmp_path, option):
+        d, train, model = trained
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", str(d / "model.json"), str(train),
+                  "--output-dir", str(tmp_path)] + list(option))
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "predictions.csv").exists()
 
     def test_null_model_constant_predictions(self, tmp_path):
         train = tmp_path / "noise.csv"

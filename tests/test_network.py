@@ -5,6 +5,8 @@ from qutsparse.losses import TaskSpec, loss_and_grad, loss_value
 from qutsparse.network import (
     Architecture,
     NetworkParams,
+    _act_deriv,
+    _norm_backward,
     backward,
     forward,
     forward_cached,
@@ -293,3 +295,76 @@ class TestUtilities:
             Architecture(3, (0,), 1)
         with pytest.raises(ValueError):
             Architecture(3, (), 1, "tanh")
+
+
+def per_block_backward(params, arch, cache, dpred):
+    """The backward pass as it was before the flat buffer: one new array
+    per block, returned in the order of blocks()."""
+    acts, zs, Vs, norms = cache
+    L = arch.n_layers
+    deep = [None] * len(params.deep)
+    biases = [None] * len(params.biases)
+    intercept = dpred.sum(axis=0)
+    if L == 1:
+        return [dpred.T @ acts[0], intercept]
+    dE = dpred.T @ acts[L - 1]
+    deep[L - 2] = _norm_backward(Vs[L - 2], norms[L - 2], dE)
+    U = dpred @ Vs[L - 2]
+    for l in range(L - 1, 0, -1):
+        Dl = U * _act_deriv(arch.activation, zs[l - 1])
+        biases[l - 1] = Dl.sum(axis=0)
+        dE = Dl.T @ acts[l - 1]
+        if l == 1:
+            w1 = dE
+        else:
+            deep[l - 2] = _norm_backward(Vs[l - 2], norms[l - 2], dE)
+            U = Dl @ Vs[l - 2]
+    return [w1] + deep + biases + [intercept]
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("hidden", [(), (5,), (8, 4)])
+    def test_blocks_are_views_of_one_buffer(self, hidden):
+        params = init_params(Architecture(6, hidden, 2), np.random.default_rng(40))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert sum(b.size for b in blocks(params)) == params.flat.size
+        for b in blocks(params):
+            assert np.shares_memory(b, params.flat)
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([b.ravel() for b in blocks(params)]))
+        c = params.copy()
+        assert not np.shares_memory(c.flat, params.flat)
+        for b in blocks(c):
+            assert np.shares_memory(b, c.flat) and not np.shares_memory(b, params.flat)
+        np.testing.assert_array_equal(c.flat, params.flat)
+
+    def test_assignment_writes_into_the_buffer(self):
+        params = init_params(Architecture(3, (4, 2), 1), np.random.default_rng(41))
+        params.w1 = np.full((4, 3), 1.5)
+        params.deep = [np.full((2, 4), 2.5), np.full((1, 2), 3.5)]
+        params.biases[1] = np.array([4.5, 5.5])
+        params.intercept = np.array([6.5])
+        for b in blocks(params):
+            assert np.shares_memory(b, params.flat)
+        np.testing.assert_array_equal(
+            params.flat, [1.5] * 12 + [2.5] * 8 + [3.5] * 2 + [0.0] * 4 + [4.5, 5.5, 6.5])
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)])
+    @pytest.mark.parametrize("task", [REG, TaskSpec("classification", 3)], ids=["reg", "cls"])
+    def test_backward_matches_per_block_reference(self, hidden, task):
+        rng = np.random.default_rng(42)
+        arch = Architecture(7, hidden, task.n_outputs, "softplus")
+        params = init_params(arch, rng)
+        params.flat += rng.normal(0, 0.3, params.flat.size)
+        X = rng.normal(0, 1, (15, 7))
+        Y = (rng.normal(0, 1, (15, 1)) if task.kind == "regression"
+             else np.eye(3)[rng.integers(0, 3, 15)])
+        pred, cache = forward_cached(params, arch, X)
+        _, dpred = loss_and_grad(task, pred, Y)
+        g = backward(params, arch, cache, dpred)
+        ref = per_block_backward(params, arch, cache, dpred)
+        for b in blocks(g):
+            assert np.shares_memory(b, g.flat)
+        for got, want in zip(blocks(g), ref, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(g.flat, np.concatenate([b.ravel() for b in ref]))

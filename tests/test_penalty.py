@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qutsparse import PenaltySpec, penalty_slope, penalty_value, prox, prox_vector, solve_threshold
-from qutsparse.penalty import _prox_magnitudes, _threshold_pair
+from qutsparse.penalty import _prox_magnitudes, _threshold_pair, penalty_value_and_slope
+from qutsparse.trainer import NU_SCHEDULE
 
 # Frozen from an independent 500-iteration bisection oracle plus a 4e5-point
 # grid minimization cross-check (tie residual 4e-16, system residual 9e-16).
@@ -101,7 +102,21 @@ class TestPenaltyValue:
             fd = (penalty_value(t + h, nu) - penalty_value(t - h, nu)) / (2 * h)
             np.testing.assert_allclose(penalty_slope(t, nu), fd, rtol=1e-6)
 
+    @pytest.mark.parametrize("nu", NU_SCHEDULE)
+    def test_shared_power_matches_value_and_slope_bitwise(self, nu):
+        rng = np.random.default_rng(12)
+        w1 = rng.normal(0, 1, (8, 30))
+        w1[:, ::3] = 0.0
+        w1[0, :5] = [-0.0, -1e-300, 1e-300, -3.5, 7.0]
+        value, slope = penalty_value_and_slope(w1, nu)
+        assert np.sum(value) == np.sum(penalty_value(w1, nu))
+        np.testing.assert_array_equal(value, penalty_value(w1, nu))
+        np.testing.assert_array_equal(slope, penalty_slope(w1, nu))
+        assert np.all(slope[w1 == 0.0] == 0.0) and np.any(slope < 0.0)
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            penalty_value_and_slope(1.0, 1.5)
         with pytest.raises(ValueError):
             penalty_value(1.0, 0.0)
         with pytest.raises(ValueError):

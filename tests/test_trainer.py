@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qutsparse.losses import TaskSpec, loss_value, null_constant
-from qutsparse.network import Architecture, forward, init_params
-from qutsparse.penalty import prox, solve_threshold
+from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant
+from qutsparse.network import Architecture, backward, forward, forward_cached, init_params
+from qutsparse.penalty import prox, prox_vector, solve_threshold
 from qutsparse.trainer import (
     FINAL_TOL,
     LAMBDA_FRACTIONS,
@@ -15,9 +15,11 @@ from qutsparse.trainer import (
     STOP_CONVERGED,
     STOP_PERFECT,
     STOP_STALLED,
+    WARM_LR,
     WARM_TOL,
     PhaseRecord,
     TrainConfig,
+    _Adam,
     _adam_phase,
     _final_phase,
     _status,
@@ -97,6 +99,77 @@ class TestIstaStep:
         np.testing.assert_allclose(out.deep[0], params.deep[0] - 0.25, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.biases[0], params.biases[0] - 0.5, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.intercept, params.intercept - 0.75, rtol=0, atol=1e-15)
+
+
+def blocks(params):
+    return [params.w1] + params.deep + params.biases + [params.intercept]
+
+
+class PerBlockAdam:
+    """Adam as it was before the flat buffer: one moment pair per block."""
+
+    def __init__(self, blocks, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(b) for b in blocks]
+        self.v = [np.zeros_like(b) for b in blocks]
+
+    def step(self, blocks, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for b, g, m, v in zip(blocks, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            b -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def per_block_ista_step(params, grads, spec, step):
+    """The proximal-gradient update as it was before the flat buffer."""
+    out = params.copy()
+    out.w1 = prox_vector(params.w1 - step * grads.w1, spec, step)
+    for o, b, g in zip(blocks(out)[1:], blocks(params)[1:], blocks(grads)[1:]):
+        o[...] = b - step * g
+    return out
+
+
+class TestFlatUpdates:
+    def test_fused_adam_matches_per_block_loop(self):
+        rng = np.random.default_rng(50)
+        arch = Architecture(5, (8, 4), 1, "softplus")
+        X = rng.normal(0, 1, (30, 5))
+        Y = rng.normal(0, 1, (30, 1))
+        flat = init_params(arch, rng)
+        start = flat.flat.copy()
+        ref = flat.copy()
+        adam = _Adam(flat.flat.size, WARM_LR)
+        ref_adam = PerBlockAdam(blocks(ref), WARM_LR)
+        for _ in range(50):
+            for p, opt in ((flat, adam), (ref, ref_adam)):
+                pred, cache = forward_cached(p, arch, X)
+                _, dpred = loss_and_grad(REG, pred, Y)
+                g = backward(p, arch, cache, dpred)
+                if opt is adam:
+                    opt.step(p.flat, g.flat)
+                else:
+                    opt.step(blocks(p), blocks(g))
+            np.testing.assert_array_equal(flat.flat, ref.flat)
+        assert np.all(flat.flat != start)
+
+    @pytest.mark.parametrize("hidden", [(), (8, 4)])
+    def test_ista_step_matches_per_block_update(self, hidden):
+        rng = np.random.default_rng(51)
+        arch = Architecture(12, hidden, 1)
+        params = init_params(arch, rng)
+        grads = params.like(rng.normal(0, 1, params.flat.size))
+        for lam, nu, step in ((1.0, 0.1, 0.3), (1.5, 0.7, 0.7), (2.0, 1.0, 0.45)):
+            spec = solve_threshold(lam, nu)
+            got = ista_step(params, grads, spec, step)
+            want = per_block_ista_step(params, grads, spec, step)
+            np.testing.assert_array_equal(got.flat, want.flat)
+            assert 0 < np.count_nonzero(got.w1) < got.w1.size
 
 
 class TestPhases:
