@@ -11,14 +11,15 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
-from .data import DataError, load_features, load_training
+from .data import DataError, load_features, load_target, load_training
 from .losses import TaskSpec
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
-from .simlab import CSV_COLUMNS, ScenarioSpec, sweep, write_csv, write_manifest
+from .simlab import CSV_COLUMNS, SCENARIO_KINDS, ScenarioSpec, sweep, write_csv
 from .trainer import STATUS_MAX_ITERS, TrainConfig, fit
 
 FORMAT_VERSION = 1
@@ -35,7 +36,8 @@ class NumericalError(Exception):
 
 
 class UsageError(Exception):
-    """An option value, from a flag or the config file, is out of range."""
+    """An option value, from a flag or the config file, is out of range, or a
+    config key names no option."""
 
 
 def _opt_float(v):
@@ -103,54 +105,89 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, config, key, default):
-    """CLI flag if given, else config file entry, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
-
-
-def _checked(args, config, key, default, kind, ok, rule):
-    """Resolve an option as _resolve does and convert it with kind;
-    UsageError unless ok(value)."""
-    raw = _resolve(args, config, key, default)
-    try:
-        val = kind(raw)
-    except (TypeError, ValueError):
-        val = None
-    if val is None or not ok(val):
-        raise UsageError("--%s must be %s, got %r" % (key.replace("_", "-"), rule, raw))
-    return val
-
-
-def _qut_options(args, config):
-    """The null quantile level and Monte Carlo draw count."""
-    alpha = _checked(args, config, "alpha", 0.05, float, lambda a: 0.0 < a < 1.0,
-                     "a number in (0, 1)")
-    n_mc = _checked(args, config, "n_mc", 1000, int, lambda k: k >= 1, "an integer >= 1")
-    return alpha, n_mc
-
-
-def _seed(args, config):
-    """The base seed: --seed, else the config file's, else 0."""
-    return _checked(args, config, "seed", 0, int, lambda k: k >= 0, "an integer >= 0")
+def _integer(value):
+    """value as an int; ValueError for a bool or a number with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer: %r" % (value,))
+    return int(value)
 
 
 def _widths(value):
-    """Hidden widths from --hidden (a tuple) or a config list; None otherwise."""
-    return tuple(int(w) for w in value) if isinstance(value, (list, tuple)) else None
+    """Hidden widths from --hidden (a tuple) or a config list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("not a list: %r" % (value,))
+    return tuple(_integer(w) for w in value)
 
 
-def _net_options(args, config, hidden_default):
-    """The hidden widths and the activation."""
-    hidden = _checked(args, config, "hidden", hidden_default, _widths,
-                      lambda ws: all(w >= 1 for w in ws), "a list of positive widths")
-    activation = _checked(args, config, "activation", "relu", str,
-                          lambda a: a in ACTIVATIONS, "one of %s" % ", ".join(ACTIVATIONS))
-    return hidden, activation
+# One row per option: the flag's argparse type, the converter applied to
+# the flag, config or default value, the check on the converted value, the
+# rule a usage error states, the default, the help text and, for an option
+# with a fixed set of values, those values.  The config keys are exactly
+# these names; the flag is --name with '-' for '_'.
+Option = namedtuple("Option", "flag_type convert check rule default help choices",
+                    defaults=(None,))
+
+TASKS = ("regression", "classification")
+
+
+def _count(default, help):
+    """A row for an integer option that must be at least 1."""
+    return Option(int, _integer, lambda k: k >= 1, "an integer >= 1", default, help)
+
+
+OPTIONS = {
+    "seed": Option(int, _integer, lambda k: k >= 0, "an integer >= 0", 0, "base seed"),
+    "task": Option(str, str, TASKS.__contains__, "regression or classification",
+                   "regression", "kind of target", TASKS),
+    "hidden": Option(_hidden_type, _widths, lambda ws: all(w >= 1 for w in ws),
+                     "a list of positive widths", (20,),
+                     "comma-separated hidden widths; 'none' for a linear net"),
+    "activation": Option(str, str, ACTIVATIONS.__contains__,
+                         "one of %s" % ", ".join(ACTIVATIONS), "relu",
+                         "hidden-layer activation", ACTIVATIONS),
+    "alpha": Option(float, float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)", 0.05,
+                    "null quantile level"),
+    "n_mc": _count(1000, "Monte Carlo draws for the null quantile"),
+    "max_phase_iters": _count(5000, "iteration budget of each training phase"),
+    "runs": _count(25, "trials per grid point"),
+    "n_test": _count(1000, "test rows per trial"),
+    "jobs": _count(os.cpu_count() or 1, "worker processes"),
+}
+
+_QUT_OPTIONS = ("seed", "task", "hidden", "activation", "alpha", "n_mc")
+COMMAND_OPTIONS = {
+    "qut": _QUT_OPTIONS,
+    "fit": _QUT_OPTIONS + ("max_phase_iters",),
+    "simulate": ("seed", "hidden", "activation", "alpha", "n_mc", "runs", "n_test", "jobs"),
+}
+# simulate fits a linear network unless --hidden says otherwise
+COMMAND_DEFAULTS = {"simulate": {"hidden": ()}}
+
+
+def _options(args, config, command):
+    """Every option of command, from its flag, else the config, else its default.
+
+    UsageError for a config key that names no option (of any command, so
+    one file serves them all) and for a value that fails its check.
+    """
+    unknown = sorted(set(config) - set(OPTIONS))
+    if unknown:
+        raise UsageError("unknown config key(s): %s" % ", ".join(map(repr, unknown)))
+    defaults = COMMAND_DEFAULTS.get(command, {})
+    opts = {}
+    for name in COMMAND_OPTIONS[command]:
+        opt = OPTIONS[name]
+        raw = getattr(args, name)
+        if raw is None:
+            raw = config.get(name, defaults.get(name, opt.default))
+        try:
+            opts[name] = opt.convert(raw)
+            ok = opt.check(opts[name])
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise UsageError("--%s must be %s, got %r" % (name.replace("_", "-"), opt.rule, raw))
+    return opts
 
 
 def _out_path(args, name):
@@ -164,19 +201,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _ingest(args, config):
-    task_kind = _checked(args, config, "task", "regression", str,
-                         lambda t: t in ("regression", "classification"),
-                         "regression or classification")
-    hidden, activation = _net_options(args, config, (20,))
-    has_header = not args.no_header
-    ds = load_training(args.data, args.target, has_header=has_header, task_kind=task_kind)
+def _ingest(args, opts):
+    ds = load_training(args.data, args.target, has_header=not args.no_header,
+                       task_kind=opts["task"])
     for name in ds.dropped:
         print("warning: dropped constant column %r" % name, file=sys.stderr)
     if ds.imputed:
         print("imputed %d missing cells by column mean" % ds.imputed, file=sys.stderr)
-    task = TaskSpec(task_kind, ds.Y.shape[1])
-    arch = Architecture(ds.X.shape[1], hidden, task.n_outputs, activation)
+    task = TaskSpec(opts["task"], ds.Y.shape[1])
+    arch = Architecture(ds.X.shape[1], opts["hidden"], task.n_outputs, opts["activation"])
     return ds, task, arch
 
 
@@ -193,11 +226,10 @@ def _selected_entries(ds, selected):
 
 
 def cmd_qut(args):
-    config = _load_config(args.config)
-    alpha, n_mc = _qut_options(args, config)
-    seed = _seed(args, config)
-    ds, task, arch = _ingest(args, config)
-    est = compute_qut(ds.X, ds.Y, task, arch, alpha=alpha, n_mc=n_mc, seed=seed)
+    opts = _options(args, _load_config(args.config), "qut")
+    ds, task, arch = _ingest(args, opts)
+    est = compute_qut(ds.X, ds.Y, task, arch, alpha=opts["alpha"], n_mc=opts["n_mc"],
+                      seed=opts["seed"])
     if not np.isfinite(est.lambda_qut):
         raise NumericalError("lambda came out %r" % est.lambda_qut)
     payload = est.to_dict()
@@ -216,34 +248,21 @@ def cmd_qut(args):
     )
     path = _out_path(args, "qut.json")
     _write_json(path, payload)
-    print("lambda_qut = %r  (alpha=%g, n_mc=%d)" % (est.lambda_qut, alpha, n_mc))
+    print("lambda_qut = %r  (alpha=%g, n_mc=%d)" % (est.lambda_qut, opts["alpha"], opts["n_mc"]))
     print("wrote %s" % path)
     return EXIT_OK
 
 
 def cmd_fit(args):
-    config = _load_config(args.config)
-    alpha, n_mc = _qut_options(args, config)
-    max_phase_iters = _checked(args, config, "max_phase_iters", 5000, int,
-                               lambda k: k >= 1, "an integer >= 1")
-    seed = _seed(args, config)
-    ds, task, arch = _ingest(args, config)
-    train_cfg = TrainConfig(alpha=alpha, n_mc=n_mc, max_phase_iters=max_phase_iters,
-                            seed=seed)
+    opts = _options(args, _load_config(args.config), "fit")
+    ds, task, arch = _ingest(args, opts)
+    train_cfg = TrainConfig(alpha=opts["alpha"], n_mc=opts["n_mc"],
+                            max_phase_iters=opts["max_phase_iters"], seed=opts["seed"])
     res = fit(ds.X, ds.Y, task, arch, config=train_cfg)
     if not np.isfinite(res.train_loss):
         raise NumericalError("training loss came out %r" % res.train_loss)
 
     selected = _selected_entries(ds, res.selected)
-    run_config = {
-        "task": task.kind,
-        "hidden": list(arch.hidden),
-        "activation": arch.activation,
-        "alpha": train_cfg.alpha,
-        "n_mc": train_cfg.n_mc,
-        "max_phase_iters": train_cfg.max_phase_iters,
-        "seed": seed,
-    }
     model = {
         "format_version": FORMAT_VERSION,
         "task": task.kind,
@@ -265,7 +284,7 @@ def cmd_fit(args):
             }
             for ph in res.phases
         ],
-        "config": run_config,
+        "config": opts,
         "imputed_cells": ds.imputed,
         "dropped_columns": ds.dropped,
         "created_at": _timestamp(),
@@ -293,32 +312,29 @@ def cmd_fit(args):
     print("wrote %s" % path)
 
     if args.test_file is not None:
-        _report_holdout(args, model, task, ds)
+        _report_holdout(args, model, task)
     return EXIT_BUDGET if res.status == STATUS_MAX_ITERS else EXIT_OK
 
 
-def _report_holdout(args, model, task, ds):
+def _report_holdout(args, model, task):
+    """Score the model on --test-file, reading only the columns predict
+    reads and the target."""
     params, arch = params_from_dict(model["network"])
     X, imputed = load_features(args.test_file, model["selected"], has_header=not args.no_header)
     if imputed:
         print("test file: imputed %d missing cells" % imputed, file=sys.stderr)
     pred = forward(params, arch, X)
-    rows = load_training(
-        args.test_file,
-        args.target,
-        has_header=not args.no_header,
-        task_kind=task.kind,
-    )
+    y = load_target(args.test_file, args.target, has_header=not args.no_header,
+                    task_kind=task.kind)
     if task.kind == "classification":
-        for lab in rows.labels:
+        for lab in sorted(set(y)):
             if lab not in model["labels"]:
                 raise DataError("test file has unseen label %r" % lab)
-        want = [rows.labels[k] for k in np.argmax(rows.Y, axis=1)]
         got = [model["labels"][k] for k in np.argmax(pred, axis=1)]
-        acc = float(np.mean([g == w for g, w in zip(got, want)]))
+        acc = float(np.mean([g == w for g, w in zip(got, y)]))
         print("test accuracy = %.4f  (%d rows)" % (acc, len(got)))
     else:
-        resid = rows.Y - pred
+        resid = y.reshape(-1, 1) - pred
         print("test rmse = %r  (%d rows)" % (float(np.sqrt(np.mean(resid ** 2))), len(resid)))
 
 
@@ -368,18 +384,12 @@ def cmd_predict(args):
 
 
 def cmd_simulate(args):
-    config = _load_config(args.config)
-    n, p = args.n, args.p
-    hidden, activation = _net_options(args, config, ())
-    n_runs = _checked(args, config, "runs", 25, int, lambda k: k >= 1, "an integer >= 1")
-    n_test = _checked(args, config, "n_test", 1000, int, lambda k: k >= 1, "an integer >= 1")
-    alpha, n_mc = _qut_options(args, config)
-    seed = _seed(args, config)
-    jobs = _checked(args, config, "jobs", os.cpu_count() or 1, int, lambda k: k >= 1,
-                    "an integer >= 1")
+    opts = _options(args, _load_config(args.config), "simulate")
+    n, p, n_runs = args.n, args.p, opts["runs"]
     try:
         for s in args.s:
-            ScenarioSpec(args.kind, n, p, s, n_test=n_test, n_runs=n_runs, seed=seed)
+            ScenarioSpec(args.kind, n, p, s, n_test=opts["n_test"], n_runs=n_runs,
+                         seed=opts["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -387,19 +397,24 @@ def cmd_simulate(args):
     t0 = time.monotonic()
     rows, _records = sweep(
         args.kind, n, p, args.s,
-        hidden=hidden, activation=activation, n_runs=n_runs, n_test=n_test,
-        seed=seed, alpha=alpha, n_mc=n_mc, jobs=jobs,
-        records_path=records_path, resume=args.resume,
+        hidden=opts["hidden"], activation=opts["activation"], n_runs=n_runs,
+        n_test=opts["n_test"], seed=opts["seed"], alpha=opts["alpha"], n_mc=opts["n_mc"],
+        jobs=opts["jobs"], records_path=records_path, resume=args.resume,
     )
     wall = time.monotonic() - t0
 
     csv_path = _out_path(args, "sweep.csv")
     write_csv(rows, csv_path)
-    write_manifest(
-        _out_path(args, "sweep_manifest.json"),
-        args.kind, n, p, args.s, hidden, activation, n_runs, n_test,
-        seed, alpha, n_mc, jobs, wall,
-    )
+    _write_json(_out_path(args, "sweep_manifest.json"), {
+        "format_version": 1,
+        "scenario": {"kind": args.kind, "n": n, "p": p, "s_grid": args.s,
+                     "n_test": opts["n_test"], "n_runs": n_runs, "seed": opts["seed"]},
+        "arch": {"hidden": opts["hidden"], "activation": opts["activation"]},
+        "config": {"alpha": opts["alpha"], "n_mc": opts["n_mc"]},
+        "jobs": opts["jobs"],
+        "wall_time_s": wall,
+        "created_at": _timestamp(),
+    })
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))
     for row in rows:
@@ -412,13 +427,22 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _add_options(parser, command):
+    """--config and a flag for each table option of command."""
+    parser.add_argument("--config", default=None, help="JSON file with option defaults")
+    for name in COMMAND_OPTIONS[command]:
+        opt = OPTIONS[name]
+        default = COMMAND_DEFAULTS.get(command, {}).get(name, opt.default)
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default)) or "none"
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=opt.flag_type,
+                            choices=opt.choices, default=None,
+                            help="%s (default %s)" % (opt.help, default))
+
+
 def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output-dir", default=".", help="directory for output files")
-
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    common.add_argument("--config", default=None, help="JSON file with option defaults")
 
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("data", help="CSV file")
@@ -426,16 +450,6 @@ def build_parser():
                          help="target column name (header) or 0-based index")
     dataset.add_argument("--no-header", action="store_true",
                          help="the file has no header row")
-    dataset.add_argument("--task", choices=("regression", "classification"), default=None)
-    dataset.add_argument("--hidden", type=_hidden_type, default=None,
-                         help="comma-separated hidden widths; 'none' for a linear net"
-                              " (default 20)")
-    dataset.add_argument("--activation", choices=("relu", "leaky_relu", "softplus"),
-                         default=None)
-    dataset.add_argument("--alpha", type=float, default=None,
-                         help="null quantile level (default 0.05)")
-    dataset.add_argument("--n-mc", dest="n_mc", type=int, default=None,
-                         help="Monte Carlo draws for the null quantile (default 1000)")
 
     parser = argparse.ArgumentParser(
         prog="qutsparse",
@@ -443,15 +457,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_qut = sub.add_parser("qut", parents=[common, dataset],
+    p_qut = sub.add_parser("qut", parents=[output, dataset],
                            help="compute the regularization level for a dataset")
     p_qut.set_defaults(func=cmd_qut)
 
-    p_fit = sub.add_parser("fit", parents=[common, dataset],
+    p_fit = sub.add_parser("fit", parents=[output, dataset],
                            help="train a sparse network and write a model file")
     p_fit.add_argument("--test-file", default=None,
                        help="held-out CSV scored after training")
-    p_fit.add_argument("--max-phase-iters", dest="max_phase_iters", type=int, default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", parents=[output],
@@ -461,26 +474,19 @@ def build_parser():
     p_pred.add_argument("--no-header", action="store_true")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[output],
                            help="run a synthetic support-recovery sweep")
-    p_sim.add_argument("kind", choices=("linear", "absdiff", "nestedabs"))
+    p_sim.add_argument("kind", choices=SCENARIO_KINDS)
     p_sim.add_argument("--n", type=int, required=True, help="training rows per trial")
     p_sim.add_argument("--p", type=int, required=True, help="feature count")
     p_sim.add_argument("--s", type=_s_grid_type, required=True,
                        help="sparsity grid: '0,1,5', '0:25', or '0:2:20'")
-    p_sim.add_argument("--runs", type=int, default=None, help="trials per grid point")
-    p_sim.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p_sim.add_argument("--hidden", type=_hidden_type, default=None,
-                       help="hidden widths (default: none, a linear net)")
-    p_sim.add_argument("--activation", choices=("relu", "leaky_relu", "softplus"),
-                       default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--n-mc", dest="n_mc", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: available cores)")
     p_sim.add_argument("--resume", action="store_true",
                        help="skip trials already present in sweep_records.jsonl")
     p_sim.set_defaults(func=cmd_simulate)
+
+    for command, p in (("qut", p_qut), ("fit", p_fit), ("simulate", p_sim)):
+        _add_options(p, command)
     return parser
 
 

@@ -56,6 +56,19 @@ def read_rows(path):
     return rows
 
 
+def _table(path, has_header):
+    """(column names, data rows, file row number of the first data row);
+    without a header the names are x0, x1, ..."""
+    rows = read_rows(path)
+    if has_header:
+        names, data, start_row = rows[0], rows[1:], 2
+    else:
+        names, data, start_row = ["x%d" % j for j in range(len(rows[0]))], rows, 1
+    if not data:
+        raise DataError("%s: no data rows" % path)
+    return names, data, start_row
+
+
 def _is_missing(tok):
     return tok.lower() in MISSING_TOKENS
 
@@ -90,48 +103,44 @@ def _resolve_target(target, names, has_header, n_cols):
     return names.index(target)
 
 
+def _target_values(data, j, name, start_row, task_kind):
+    """Column j as floats for regression or label strings for
+    classification; a missing cell is an error."""
+    if task_kind == "regression":
+        vals = _parse_column(data, j, name, start_row)
+        missing = np.isnan(vals)
+    else:
+        vals = [row[j] for row in data]
+        missing = [_is_missing(tok) for tok in vals]
+    if np.any(missing):
+        row = start_row + int(np.argmax(missing))
+        raise DataError("column %r, row %d: missing target value" % (name, row))
+    return vals
+
+
 def load_training(path, target, has_header=True, task_kind="regression"):
     """Ingest a training CSV into a standardized Dataset.
 
     Feature standardization uses this file's own statistics; the target
     is left on its original scale.  Missing target cells are an error.
     """
-    rows = read_rows(path)
-    n_cols = len(rows[0])
+    names, data, start_row = _table(path, has_header)
+    n_cols = len(names)
     if n_cols < 2:
         raise DataError("%s: need a target and at least one feature column" % path)
-    if has_header:
-        names = rows[0]
-        data = rows[1:]
-        start_row = 2
-    else:
-        names = ["x%d" % j for j in range(n_cols)]
-        data = rows
-        start_row = 1
-    if not data:
-        raise DataError("%s: no data rows" % path)
     t_idx = _resolve_target(target, names, has_header, n_cols)
 
+    y = _target_values(data, t_idx, names[t_idx], start_row, task_kind)
     labels = None
     if task_kind == "regression":
-        yraw = _parse_column(data, t_idx, names[t_idx], start_row)
-        if np.isnan(yraw).any():
-            row = start_row + int(np.flatnonzero(np.isnan(yraw))[0])
-            raise DataError("column %r, row %d: missing target value" % (names[t_idx], row))
-        Y = yraw.reshape(-1, 1)
+        Y = y.reshape(-1, 1)
     else:
-        toks = [row[t_idx] for row in data]
-        for i, tok in enumerate(toks):
-            if _is_missing(tok):
-                raise DataError(
-                    "column %r, row %d: missing target value" % (names[t_idx], start_row + i)
-                )
-        labels = sorted(set(toks))
+        labels = sorted(set(y))
         if len(labels) < 2:
             raise DataError("classification target has a single label %r" % labels[0])
         lut = {lab: k for k, lab in enumerate(labels)}
         Y = np.zeros((len(data), len(labels)))
-        for i, tok in enumerate(toks):
+        for i, tok in enumerate(y):
             Y[i, lut[tok]] = 1.0
 
     feat_idx = [j for j in range(n_cols) if j != t_idx]
@@ -175,6 +184,15 @@ def load_training(path, target, has_header=True, task_kind="regression"):
     )
 
 
+def load_target(path, target, has_header=True, task_kind="regression"):
+    """The target column of a held-out file, as load_training reads it
+    but without the one-hot coding: floats for regression, label strings
+    for classification.  No other column is read."""
+    names, data, start_row = _table(path, has_header)
+    j = _resolve_target(target, names, has_header, len(names))
+    return _target_values(data, j, names[j], start_row, task_kind)
+
+
 def load_features(path, selected, has_header=True):
     """Feature matrix for prediction, standardized by STORED statistics.
 
@@ -183,41 +201,24 @@ def load_features(path, selected, has_header=True):
     file has a header and by original position otherwise.  Missing cells
     are imputed with the stored mean.  Returns (X, n_imputed).
     """
+    names, data, start_row = _table(path, has_header)
     if not selected:
-        rows = read_rows(path)
-        n = len(rows) - 1 if has_header else len(rows)
-        if n < 1:
-            raise DataError("%s: no data rows" % path)
-        return np.zeros((n, 0)), 0
-    rows = read_rows(path)
-    n_cols = len(rows[0])
-    if has_header:
-        names = rows[0]
-        data = rows[1:]
-        start_row = 2
-    else:
-        names = None
-        data = rows
-        start_row = 1
-    if not data:
-        raise DataError("%s: no data rows" % path)
+        return np.zeros((len(data), 0)), 0
     cols, imputed = [], 0
     for feat in selected:
-        if names is not None:
+        if has_header:
             if feat["name"] not in names:
                 missing = [f["name"] for f in selected if f["name"] not in names]
                 raise DataError("%s: missing feature columns %r" % (path, missing))
             j = names.index(feat["name"])
-            label = feat["name"]
         else:
             j = int(feat["index"])
-            if j >= n_cols:
+            if j >= len(names):
                 raise DataError(
                     "%s: feature %r expects column %d but file has %d columns"
-                    % (path, feat["name"], j, n_cols)
+                    % (path, feat["name"], j, len(names))
                 )
-            label = feat["name"]
-        col = _parse_column(data, j, label, start_row)
+        col = _parse_column(data, j, feat["name"], start_row)
         miss = np.isnan(col)
         if miss.any():
             imputed += int(miss.sum())

@@ -11,7 +11,6 @@ rebuild the summary CSV from the sorted record set.
 """
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .losses import TaskSpec
-from .network import Architecture
+from .network import Architecture, forward
 from .trainer import TrainConfig, fit
 
 SCENARIO_KINDS = ("linear", "absdiff", "nestedabs")
@@ -112,12 +111,12 @@ def run_trial(spec, run_index, hidden=(), activation="relu", alpha=0.05, n_mc=10
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     Xs = (X - mean) / std
-    Xts = (X_test - mean) / std
     _, fit_seed = _trial_seeds(spec, run_index)
     arch = Architecture(spec.p, tuple(hidden), 1, activation)
     cfg = TrainConfig(seed=fit_seed, alpha=alpha, n_mc=n_mc)
     res = fit(Xs, Y, _REGRESSION, arch, cfg)
-    pred = res.predict(Xts)[:, 0]
+    sel = res.selected  # the pruned network reads only these test columns
+    pred = forward(res.params, res.arch, (X_test[:, sel] - mean[sel]) / std[sel])[:, 0]
     l2_hat = float(np.mean((pred - mu_test) ** 2))
     return {
         "s": int(spec.s),
@@ -249,20 +248,3 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
     records = sorted(list(done.values()) + fresh, key=_record_key)
     rows = aggregate(records, s_grid, n_runs)
     return rows, records
-
-
-def write_manifest(path, kind, n, p, s_grid, hidden, activation, n_runs,
-                   n_test, seed, alpha, n_mc, jobs, wall_time):
-    doc = {
-        "format_version": 1,
-        "scenario": {"kind": kind, "n": n, "p": p, "s_grid": list(s_grid),
-                     "n_test": n_test, "n_runs": n_runs, "seed": seed},
-        "arch": {"hidden": list(hidden), "activation": activation},
-        "config": {"alpha": alpha, "n_mc": n_mc},
-        "jobs": jobs,
-        "wall_time_s": wall_time,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -452,3 +453,123 @@ class TestSimulate:
                    "--jobs", "1", "--output-dir", str(tmp_path / "out")]
                   + bad_option_args(tmp_path, case))
         assert_usage_error(rc, capsys, tmp_path / "out" / "sweep_records.jsonl")
+
+
+# One out-of-range value per option of the table; a new option needs one here.
+BAD_VALUE = {"seed": -1, "task": "foo", "hidden": [0], "activation": "tanh", "alpha": 1.0,
+             "n_mc": 0, "max_phase_iters": 0, "runs": 0, "n_test": 0, "jobs": 0}
+INTEGER_OPTIONS = ("seed", "n_mc", "max_phase_iters", "runs", "n_test", "jobs")
+
+
+def command_argv(command, tmp_path):
+    """A valid command line for command, and the output file it would write."""
+    out = tmp_path / "out"
+    if command == "simulate":
+        return (["simulate", "linear", "--n", "40", "--p", "8", "--s", "0,1",
+                 "--output-dir", str(out)], out / "sweep_records.jsonl")
+    train = tmp_path / "train.csv"
+    make_regression_csv(train)
+    name = "qut.json" if command == "qut" else "model.json"
+    return [command, str(train), "--target", "y", "--output-dir", str(out)], out / name
+
+
+TABLE_CASES = [(command, {name: value})
+               for command, names in cli.COMMAND_OPTIONS.items() for name in names
+               for value in [BAD_VALUE[name]] + ([2.5, True] if name in INTEGER_OPTIONS else [])]
+
+
+class TestOptionTable:
+    def test_every_option_has_a_bad_value(self):
+        assert set(BAD_VALUE) == set(cli.OPTIONS)
+        assert {n for n, o in cli.OPTIONS.items() if o.convert is cli._integer} == set(
+            INTEGER_OPTIONS)
+
+    @pytest.mark.parametrize("command,config", TABLE_CASES,
+                             ids=lambda c: c if isinstance(c, str) else case_id(c))
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, config):
+        argv, out_file = command_argv(command, tmp_path)
+        rc = main(argv + bad_option_args(tmp_path, config))
+        assert_usage_error(rc, capsys, out_file)
+
+    @pytest.mark.parametrize("command,config", [
+        ("qut", {"nmc": 3, "sed": 9}), ("fit", {"hidden": [], "n_mc": 50, "mc": 3}),
+        ("simulate", {"n": 40}), ("qut", {"n_mc": 60.9}), ("qut", {"seed": True}),
+        ("fit", {"n_mc": 60.9}), ("simulate", {"runs": 1.5}),
+    ], ids=lambda c: c if isinstance(c, str) else case_id(c))
+    def test_unknown_key_and_non_integer_config(self, tmp_path, capsys, command, config):
+        argv, out_file = command_argv(command, tmp_path)
+        rc = main(argv + bad_option_args(tmp_path, config))
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE and err.count("\n") == 1 and not out_file.exists()
+        bad = [k for k in config if k not in cli.OPTIONS] or list(config)
+        assert all(repr(k) in err or "--%s " % k.replace("_", "-") in err for k in bad), err
+
+    def test_integral_float_and_other_commands_keys_accepted(self, tmp_path):
+        argv, out_file = command_argv("qut", tmp_path)
+        cfg = {"n_mc": 60.0, "seed": 2, "jobs": 3, "runs": 4, "max_phase_iters": 9}
+        assert main(argv + bad_option_args(tmp_path, cfg)) == EXIT_OK
+        out = json.loads(out_file.read_text())
+        assert (out["n_mc"], out["seed"]) == (60, 2)
+
+    def test_message_text(self, tmp_path, capsys):
+        argv, _ = command_argv("qut", tmp_path)
+        assert main(argv + ["--alpha", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --alpha must be a number in (0, 1), got 2.0\n")
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_OPTIONS))
+    def test_help_lists_the_command_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in cli.OPTIONS:
+            flag = re.search(r"--%s\b(?!-)" % name.replace("_", "-"), text)
+            assert bool(flag) == (name in cli.COMMAND_OPTIONS[command]), name
+        assert "--config" in text
+
+
+class TestHoldout:
+    """fit --test-file reads what predict reads, plus the target column."""
+
+    def fit_with_test_file(self, tmp_path, train, test, extra):
+        out = tmp_path / "out"
+        rc = main(["fit", str(train), "--target", extra[0], "--n-mc", "100",
+                   "--test-file", str(test), "--output-dir", str(out)] + extra[1:])
+        return rc, out
+
+    def test_single_label_test_file(self, cls_files, tmp_path, capsys):
+        rows = list(csv.reader((cls_files / "test.csv").read_text().splitlines()))
+        test = tmp_path / "pos.csv"
+        write_csv_file(test, rows[0], [r for r in rows[1:] if r[-1] == "pos"])
+        rc, out = self.fit_with_test_file(tmp_path, cls_files / "train.csv", test,
+                                          ["klass", "--task", "classification", "--hidden",
+                                           "none"])
+        assert rc in (EXIT_OK, EXIT_BUDGET), capsys.readouterr().err
+        assert "test accuracy = " in capsys.readouterr().out
+        assert main(["predict", str(out / "model.json"), str(test),
+                     "--output-dir", str(out)]) == EXIT_OK
+
+    def test_unseen_label_still_rejected(self, cls_files, tmp_path, capsys):
+        rows = list(csv.reader((cls_files / "test.csv").read_text().splitlines()))
+        test = tmp_path / "new.csv"
+        write_csv_file(test, rows[0], rows[1:3] + [rows[3][:-1] + ["maybe"]])
+        rc, _ = self.fit_with_test_file(tmp_path, cls_files / "train.csv", test,
+                                        ["klass", "--task", "classification", "--hidden",
+                                         "none"])
+        assert rc == EXIT_DATA
+        assert "unseen label 'maybe'" in capsys.readouterr().err
+
+    def test_bad_cell_in_unselected_column(self, trained, tmp_path, capsys):
+        d, train, model = trained
+        assert "f0" not in [e["name"] for e in model["selected"]]
+        rows = list(csv.reader(train.read_text().splitlines()))
+        rows[5][0] = "oops"
+        test = tmp_path / "test.csv"
+        write_csv_file(test, rows[0], rows[1:])
+        rc, out = self.fit_with_test_file(tmp_path, train, test,
+                                          ["y", "--hidden", "20", "--seed", "1"])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert "test rmse = " in capsys.readouterr().out
+        assert main(["predict", str(out / "model.json"), str(test),
+                     "--output-dir", str(out)]) == EXIT_OK

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from qutsparse.losses import TaskSpec
+from qutsparse.network import Architecture
 from qutsparse.simlab import (
     ScenarioSpec,
     _mu_star,
+    _trial_seeds,
     aggregate,
     generate,
     metrics,
@@ -13,6 +16,7 @@ from qutsparse.simlab import (
     sweep,
     write_csv,
 )
+from qutsparse.trainer import TrainConfig, fit
 
 
 class TestScenarioSpec:
@@ -165,6 +169,18 @@ class TestTrials:
                             "l2_hat", "run_seed", "status"}
         assert rec["s"] == 1 and rec["run"] == 1
         assert rec["l2_hat"] >= 0.0
+
+    def test_l2_equals_full_width_prediction(self):
+        # reference: standardize every test column, let predict read the selected ones
+        spec = self.spec()
+        X, Y, X_test, mu_test, _ = generate(spec, 1)
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        cfg = TrainConfig(seed=_trial_seeds(spec, 1)[1], n_mc=50)
+        res = fit((X - mean) / std, Y, TaskSpec("regression", 1), Architecture(8, (5,), 1), cfg)
+        assert res.selected.size > 0
+        pred = res.predict((X_test - mean) / std)[:, 0]
+        rec = run_trial(spec, 1, hidden=(5,), n_mc=50)
+        assert rec["l2_hat"] == float(np.mean((pred - mu_test) ** 2))
 
     def test_sweep_rows_and_cell_recompute(self):
         rows, records = sweep("linear", 40, 8, [0, 1], n_runs=2, n_test=50,
