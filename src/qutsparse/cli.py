@@ -105,9 +105,18 @@ def _load_config(path):
     return cfg
 
 
+def _real(value):
+    """value as a float; ValueError for a string or a bool, which a JSON
+    config may hold but no numeric option takes."""
+    if isinstance(value, (str, bool)):
+        raise ValueError("not a number: %r" % (value,))
+    return float(value)
+
+
 def _integer(value):
-    """value as an int; ValueError for a bool or a number with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; ValueError for a string, a bool or a number with a
+    fractional part."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not an integer: %r" % (value,))
     return int(value)
 
@@ -145,7 +154,7 @@ OPTIONS = {
     "activation": Option(str, str, ACTIVATIONS.__contains__,
                          "one of %s" % ", ".join(ACTIVATIONS), "relu",
                          "hidden-layer activation", ACTIVATIONS),
-    "alpha": Option(float, float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)", 0.05,
+    "alpha": Option(float, _real, lambda a: 0.0 < a < 1.0, "a number in (0, 1)", 0.05,
                     "null quantile level"),
     "n_mc": _count(1000, "Monte Carlo draws for the null quantile"),
     "max_phase_iters": _count(5000, "iteration budget of each training phase"),
@@ -355,6 +364,11 @@ def cmd_predict(args):
     if model.get("format_version") != FORMAT_VERSION:
         raise DataError("model %s has unsupported format_version %r"
                         % (args.model, model.get("format_version")))
+    required = ("network", "selected", "task") + (
+        ("labels",) if model.get("task") == "classification" else ())
+    missing = [key for key in required if key not in model]
+    if missing:
+        raise DataError("model %s lacks %s" % (args.model, ", ".join(map(repr, missing))))
     params, arch = params_from_dict(model["network"])
     X, imputed = load_features(args.data, model["selected"], has_header=not args.no_header)
     if imputed:

@@ -374,6 +374,27 @@ class TestPredict:
         assert exc.value.code == EXIT_USAGE
         assert not (tmp_path / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("drop,missing", [
+        ("all", ["network", "selected", "task"]), ("network", ["network"]),
+        ("selected", ["selected"]), ("task", ["task"]), ("labels", ["labels"]),
+    ], ids=lambda c: c if isinstance(c, str) else None)
+    def test_incomplete_model_is_data_error(self, trained, tmp_path, capsys, drop, missing):
+        d, train, model = trained
+        if drop == "all":
+            model = {"format_version": 1}
+        elif drop == "labels":
+            model = {k: v for k, v in model.items() if k != "labels"}
+            model["task"] = "classification"
+        else:
+            model = {k: v for k, v in model.items() if k != drop}
+        (tmp_path / "bad.json").write_text(json.dumps(model))
+        rc = main(["predict", str(tmp_path / "bad.json"), str(train),
+                   "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and err.startswith("data error: ")
+        assert all(repr(key) in err for key in missing), err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_null_model_constant_predictions(self, tmp_path):
         train = tmp_path / "noise.csv"
         rng = np.random.default_rng(11)
@@ -459,6 +480,10 @@ class TestSimulate:
 BAD_VALUE = {"seed": -1, "task": "foo", "hidden": [0], "activation": "tanh", "alpha": 1.0,
              "n_mc": 0, "max_phase_iters": 0, "runs": 0, "n_test": 0, "jobs": 0}
 INTEGER_OPTIONS = ("seed", "n_mc", "max_phase_iters", "runs", "n_test", "jobs")
+# A valid value of each numeric option written as a JSON string, which is a
+# usage error as {"hidden": "20"} is.
+NUMERIC_STRING = {"seed": "3", "alpha": "0.5", "n_mc": "100", "max_phase_iters": "50",
+                  "runs": "1", "n_test": "50", "jobs": "1"}
 
 
 def command_argv(command, tmp_path):
@@ -475,7 +500,8 @@ def command_argv(command, tmp_path):
 
 TABLE_CASES = [(command, {name: value})
                for command, names in cli.COMMAND_OPTIONS.items() for name in names
-               for value in [BAD_VALUE[name]] + ([2.5, True] if name in INTEGER_OPTIONS else [])]
+               for value in [BAD_VALUE[name]] + ([2.5, True] if name in INTEGER_OPTIONS else [])
+               + ([NUMERIC_STRING[name]] if name in NUMERIC_STRING else [])]
 
 
 class TestOptionTable:
@@ -483,6 +509,8 @@ class TestOptionTable:
         assert set(BAD_VALUE) == set(cli.OPTIONS)
         assert {n for n, o in cli.OPTIONS.items() if o.convert is cli._integer} == set(
             INTEGER_OPTIONS)
+        assert {n for n, o in cli.OPTIONS.items() if o.flag_type in (int, float)} == set(
+            NUMERIC_STRING)
 
     @pytest.mark.parametrize("command,config", TABLE_CASES,
                              ids=lambda c: c if isinstance(c, str) else case_id(c))
