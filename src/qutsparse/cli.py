@@ -369,7 +369,10 @@ def cmd_predict(args):
     missing = [key for key in required if key not in model]
     if missing:
         raise DataError("model %s lacks %s" % (args.model, ", ".join(map(repr, missing))))
-    params, arch = params_from_dict(model["network"])
+    try:
+        params, arch = params_from_dict(model["network"])
+    except (TypeError, ValueError) as exc:
+        raise DataError("model %s: bad network: %s" % (args.model, exc)) from exc
     X, imputed = load_features(args.data, model["selected"], has_header=not args.no_header)
     if imputed:
         print("imputed %d missing cells with stored means" % imputed, file=sys.stderr)

@@ -55,6 +55,8 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DataError("%s is not UTF-8 text: %s" % (path, exc)) from exc
 
 
 def _rows(text, path):

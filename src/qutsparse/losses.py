@@ -7,6 +7,7 @@ what lets one null quantile serve every dataset.  Classification uses
 the summed cross entropy with the softmax folded in.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -62,10 +63,14 @@ def loss_and_grad(task, pred, Y):
     _check(task, pred, Y)
     if task.kind == "regression":
         R = Y - pred
-        val = float(np.linalg.norm(R))
+        r = R.ravel(order="K")
+        # what np.linalg.norm computes for a float array, without its wrapper
+        val = math.sqrt(r.dot(r))
         if val == 0.0:
             return 0.0, np.zeros_like(pred)
-        return val, -R / val
+        np.negative(R, out=R)
+        R /= val
+        return val, R
     m = np.max(pred, axis=1, keepdims=True)
     e = np.exp(pred - m)
     s = np.sum(e, axis=1, keepdims=True)

@@ -16,10 +16,11 @@ single weight matrix is penalized and unnormalized.
 All parameters live in one contiguous float64 vector, ``NetworkParams.flat``:
 w1, then the deep matrices from layer 2 up, then the hidden biases, then
 the output intercept, each block row-major.  The block attributes are
-views into that vector, and backward() returns its gradient in a new
-vector with the same layout.  So an optimizer step, a parameter copy or
-a gradient step is one array operation, and only the prox touches a
-single block, the w1 slice.
+views into that vector, and backward() returns its gradient in the same
+layout: in a new vector, or written in place into ``out=``, a gradient
+buffer that a training phase allocates once and reuses for every update.
+So an optimizer step, a parameter copy or a gradient step is one array
+operation, and only the prox touches a single block, the w1 slice.
 """
 
 from dataclasses import dataclass
@@ -159,10 +160,14 @@ def normalize_rows(W):
     return W / norms[:, None], norms
 
 
-def _norm_backward(V, norms, dV):
-    # d(stored)/d(applied): remove the radial component, divide by the norm
+def _norm_backward(V, norms, dV, out=None):
+    # d(stored)/d(applied): remove the radial component, divide by the norm;
+    # (dV - dot * V) / norms, written into out when given
     dot = np.sum(dV * V, axis=1, keepdims=True)
-    return (dV - dot * V) / norms[:, None]
+    out = np.multiply(dot, V, out=out)
+    np.subtract(dV, out, out=out)
+    np.divide(out, norms[:, None], out=out)
+    return out
 
 
 def init_params(arch, rng):
@@ -208,22 +213,26 @@ def forward_cached(params, arch, X):
     Vs = []
     norms = []
     if L == 1:
-        pred = X @ params.w1.T + params.intercept
+        pred = X @ params.w1.T
+        pred += params.intercept
         return pred, (acts, zs, Vs, norms)
-    z = X @ params.w1.T + params.biases[0]
+    z = X @ params.w1.T
+    z += params.biases[0]
     zs.append(z)
     acts.append(_act(arch.activation, z))
     for l in range(2, L):
         V, nr = normalize_rows(params.deep[l - 2])
         Vs.append(V)
         norms.append(nr)
-        z = acts[-1] @ V.T + params.biases[l - 1]
+        z = acts[-1] @ V.T
+        z += params.biases[l - 1]
         zs.append(z)
         acts.append(_act(arch.activation, z))
     V, nr = normalize_rows(params.deep[L - 2])
     Vs.append(V)
     norms.append(nr)
-    pred = acts[-1] @ V.T + params.intercept
+    pred = acts[-1] @ V.T
+    pred += params.intercept
     return pred, (acts, zs, Vs, norms)
 
 
@@ -231,28 +240,31 @@ def forward(params, arch, X):
     return forward_cached(params, arch, X)[0]
 
 
-def backward(params, arch, cache, dpred):
+def backward(params, arch, cache, dpred, out=None):
     """Gradients of a scalar function of the predictions with respect to
-    every parameter, given dpred = d(scalar)/d(predictions), packed in
-    one new buffer with the layout of params."""
+    every parameter, given dpred = d(scalar)/d(predictions), packed with
+    the layout of params.  They go into a new buffer, or, when ``out`` is
+    a NetworkParams of that layout, overwrite every entry of out.flat, so
+    a training phase can keep one gradient buffer for all its updates.
+    Returns the gradient."""
     acts, zs, Vs, norms = cache
     L = arch.n_layers
-    g = params.like(np.empty_like(params.flat))
-    g.intercept[...] = dpred.sum(axis=0)
+    g = params.like(np.empty_like(params.flat)) if out is None else out
+    dpred.sum(axis=0, out=g.intercept)
     if L == 1:
-        g.w1[...] = dpred.T @ acts[0]
+        np.matmul(dpred.T, acts[0], out=g.w1)
         return g
     dE = dpred.T @ acts[L - 1]
-    g.deep[L - 2][...] = _norm_backward(Vs[L - 2], norms[L - 2], dE)
+    _norm_backward(Vs[L - 2], norms[L - 2], dE, out=g.deep[L - 2])
     U = dpred @ Vs[L - 2]
     for l in range(L - 1, 0, -1):
         Dl = U * _act_deriv(arch.activation, zs[l - 1])
-        g.biases[l - 1][...] = Dl.sum(axis=0)
-        dE = Dl.T @ acts[l - 1]
+        Dl.sum(axis=0, out=g.biases[l - 1])
         if l == 1:
-            g.w1[...] = dE
+            np.matmul(Dl.T, acts[0], out=g.w1)
         else:
-            g.deep[l - 2][...] = _norm_backward(Vs[l - 2], norms[l - 2], dE)
+            dE = Dl.T @ acts[l - 1]
+            _norm_backward(Vs[l - 2], norms[l - 2], dE, out=g.deep[l - 2])
             U = Dl @ Vs[l - 2]
     return g
 
@@ -308,6 +320,11 @@ def prune(params, arch):
     return p_params, p_arch, selected
 
 
+# the entries params_to_dict writes
+PARAM_KEYS = ("input_dim", "hidden", "output_dim", "activation", "w1", "deep", "biases",
+              "intercept")
+
+
 def params_to_dict(params, arch):
     """JSON-ready representation; matrices row-major nested lists."""
     return {
@@ -323,16 +340,32 @@ def params_to_dict(params, arch):
 
 
 def params_from_dict(d):
+    """Inverse of params_to_dict.  An entry that is not a dict, a missing
+    key, or a block whose shape does not match the declared widths raises
+    ValueError naming the fault."""
+    if not isinstance(d, dict):
+        raise ValueError("expected an object, got %s" % type(d).__name__)
+    missing = [key for key in PARAM_KEYS if key not in d]
+    if missing:
+        raise ValueError("lacks %s" % ", ".join(map(repr, missing)))
     arch = Architecture(
         int(d["input_dim"]), tuple(d["hidden"]), int(d["output_dim"]), d["activation"]
     )
-    w1 = np.asarray(d["w1"], dtype=np.float64).reshape(
-        arch.widths[1], arch.widths[0]
-    )
-    params = NetworkParams(
-        w1=w1,
-        deep=[np.asarray(m, dtype=np.float64) for m in d["deep"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in d["biases"]],
-        intercept=np.asarray(d["intercept"], dtype=np.float64),
-    )
+    w = arch.widths
+    w1 = np.asarray(d["w1"], dtype=np.float64)
+    if w1.size != w[1] * w[0]:
+        raise ValueError("w1 has %d entries, widths %r need %d x %d"
+                         % (w1.size, list(w), w[1], w[0]))
+    deep = [np.asarray(m, dtype=np.float64) for m in d["deep"]]
+    biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+    intercept = np.asarray(d["intercept"], dtype=np.float64)
+    for name, got, want in (
+        ("deep", [m.shape for m in deep], [(w[l + 1], w[l]) for l in range(1, arch.n_layers)]),
+        ("biases", [b.shape for b in biases], [(w[l],) for l in range(1, arch.n_layers)]),
+        ("intercept", [intercept.shape], [(w[-1],)]),
+    ):
+        if got != want:
+            raise ValueError("%s has shapes %r, widths %r need %r" % (name, got, list(w), want))
+    params = NetworkParams(w1=w1.reshape(w[1], w[0]), deep=deep, biases=biases,
+                           intercept=intercept)
     return params, arch

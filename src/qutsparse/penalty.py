@@ -33,7 +33,7 @@ class PenaltySpec:
 
 
 def _validate(lam, nu):
-    if not np.isfinite(lam) or lam < 0.0:
+    if not math.isfinite(lam) or lam < 0.0:
         raise ValueError("lam must be a finite nonnegative real, got %r" % lam)
     if not (0.0 < nu <= 1.0):
         raise ValueError("nu must lie in (0, 1], got %r" % nu)
@@ -56,13 +56,21 @@ def penalty_slope(theta, nu):
 
 
 def penalty_value_and_slope(theta, nu):
-    """penalty_value and penalty_slope from one shared |theta|**(1 - nu);
-    each result equals its single-purpose counterpart bit for bit."""
+    """penalty_value and penalty_slope of a float array from one shared
+    |theta|**(1 - nu); each result equals its single-purpose counterpart
+    bit for bit."""
     _validate(0.0, nu)
     a = np.abs(theta)
     t = a ** (1.0 - nu)
     d = 1.0 + t
-    return a / d, np.sign(theta) * (1.0 + nu * t) / d ** 2
+    value = np.divide(a, d, out=a)
+    # sign(theta) * (1 + nu*t) / d**2 in place in t
+    t *= nu
+    t += 1.0
+    np.multiply(np.sign(theta), t, out=t)
+    np.multiply(d, d, out=d)
+    t /= d
+    return value, t
 
 
 def _solve_jump(lam, nu):
@@ -100,29 +108,34 @@ def _prox_magnitudes(z, lam, nu, phi, kappa):
     lo = np.full_like(zw, kappa)
     hi = zw.copy()
     theta = zw.copy()
+    tol = 1e-14 * (1.0 + zw)
     one_m = 1.0 - nu
     for _ in range(100):
         if idx.size == 0:
             break
         t = theta ** one_m
         d = 1.0 + t
-        h = theta - zw + lam * (1.0 + nu * t) / (d * d)
+        d2 = d * d
+        nut = nu * t
+        h = theta - zw + lam * (1.0 + nut) / d2
         pos = h > 0.0
         hi = np.where(pos, theta, hi)
         lo = np.where(pos, lo, theta)
         mid = 0.5 * (lo + hi)
-        done = np.abs(h) < 1e-14 * (1.0 + zw)
-        hp = 1.0 - lam * one_m * theta ** (-nu) * ((2.0 - nu) + nu * t) / (d * d * d)
+        done = np.abs(h) < tol
+        hp = 1.0 - lam * one_m * theta ** (-nu) * ((2.0 - nu) + nut) / (d2 * d)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cand = np.where(hp > 0.0, theta - h / hp, mid)
-        cand = np.where(~np.isfinite(cand) | (cand <= lo) | (cand >= hi), mid, cand)
-        stalled = ~done & (np.abs(cand - theta) < 1e-15 * (1.0 + theta))
+        # keep cand only strictly inside (lo, hi); a NaN or infinite cand
+        # never is, as lo > -inf and no NaN enters lo or hi
+        cand = np.where((cand > lo) & (cand < hi), cand, mid)
+        # done, or stalled: a step below float resolution
+        stop = done | (np.abs(cand - theta) < 1e-15 * (1.0 + theta))
         theta = np.where(done, theta, cand)
-        stop = done | stalled
-        if np.any(stop):
+        if stop.any():
             out[idx[stop]] = theta[stop]
             run = ~stop
-            idx, zw, lo, hi, theta = idx[run], zw[run], lo[run], hi[run], theta[run]
+            idx, zw, tol, lo, hi, theta = idx[run], zw[run], tol[run], lo[run], hi[run], theta[run]
     out[idx] = theta
     return out
 

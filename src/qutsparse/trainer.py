@@ -85,7 +85,8 @@ class FitResult:
 
 
 class _Adam:
-    """Adam on one flat parameter vector."""
+    """Adam on one flat parameter vector, updated in place through two
+    scratch vectors of its own."""
 
     def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -95,17 +96,30 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self, x, g):
+        # x -= lr * (m / c1) / (sqrt(v / c2) + eps), one rounding per
+        # operation in the order written
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        m, v = self.m, self.v
+        m, v, a, b = self.m, self.v, self._a, self._b
+        np.multiply(g, 1.0 - self.beta1, out=a)
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        x -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        v += a
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        x -= a
 
 
 def ista_step(params, grads, spec, step):
@@ -124,6 +138,7 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     on an exactly zero regression residual, or after cfg.max_phase_iters
     updates.  Updates params in place and returns its PhaseRecord."""
     adam = _Adam(params.flat.size, WARM_LR)
+    g = params.like(np.empty_like(params.flat))
     prev = None
     initial = None
     stop = STOP_BUDGET
@@ -133,7 +148,7 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
         cost = ls
         if nu is not None:
             pen, slope = penalty_value_and_slope(params.w1, nu)
-            cost = ls + lam * float(np.sum(pen))
+            cost = ls + lam * float(pen.sum())
         if initial is None:
             initial = cost
         if task.kind == "regression" and ls == 0.0:
@@ -142,15 +157,16 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
         if prev is not None and abs(cost - prev) / max(1.0, prev) < tol:
             stop = STOP_CONVERGED
             break
-        g = network.backward(params, arch, cache, dpred)
+        network.backward(params, arch, cache, dpred, out=g)
         if nu is not None:
-            g.w1 += lam * slope
+            slope *= lam
+            g.w1 += slope
         adam.step(params.flat, g.flat)
         prev = cost
     if stop == STOP_BUDGET:
         cost = loss_value(task, network.forward(params, arch, X), Y)
         if nu is not None:
-            cost += lam * float(np.sum(penalty_value(params.w1, nu)))
+            cost += lam * float(penalty_value(params.w1, nu).sum())
     if initial is None:
         initial = cost
     return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)
@@ -165,10 +181,11 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
 
     def evaluate(p):
         pred, cache = network.forward_cached(p, arch, X)
-        cost = loss_value(task, pred, Y) + lam * float(np.sum(penalty_value(p.w1, nu)))
+        cost = loss_value(task, pred, Y) + lam * float(penalty_value(p.w1, nu).sum())
         return cost, pred, cache
 
     cur, pred, cache = evaluate(params)
+    g = params.like(np.empty_like(params.flat))
     initial = cur
     step = 1.0
     updates = 0
@@ -178,7 +195,7 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
         if task.kind == "regression" and ls == 0.0:
             stop = STOP_PERFECT
             break
-        g = network.backward(params, arch, cache, dpred)
+        network.backward(params, arch, cache, dpred, out=g)
         trial = step
         for k in range(31):
             cand = ista_step(params, g, spec, trial)

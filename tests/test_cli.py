@@ -395,6 +395,34 @@ class TestPredict:
         assert all(repr(key) in err for key in missing), err
         assert not (tmp_path / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("fault,named", [
+        ("empty", ["'input_dim'", "'hidden'", "'w1'", "'intercept'"]),
+        ("no-w1", ["'w1'"]),
+        ("w1-size", ["w1 has"]),
+        ("deep-shape", ["deep has shapes"]),
+        ("not-object", ["bad network: expected an object"]),
+    ])
+    def test_bad_network_is_data_error(self, trained, tmp_path, capsys, fault, named):
+        d, train, model = trained
+        net = dict(model["network"])
+        if fault == "empty":
+            net = {}
+        elif fault == "no-w1":
+            del net["w1"]
+        elif fault == "w1-size":
+            net["w1"] = net["w1"][:-1]
+        elif fault == "deep-shape":
+            net["deep"] = [[row[:-1] for row in net["deep"][0]]] + net["deep"][1:]
+        else:
+            net = [net]
+        (tmp_path / "bad.json").write_text(json.dumps(dict(model, network=net)))
+        rc = main(["predict", str(tmp_path / "bad.json"), str(train),
+                   "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+        assert all(text in err for text in named), err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_null_model_constant_predictions(self, tmp_path):
         train = tmp_path / "noise.csv"
         rng = np.random.default_rng(11)
@@ -601,3 +629,50 @@ class TestHoldout:
         assert "test rmse = " in capsys.readouterr().out
         assert main(["predict", str(out / "model.json"), str(test),
                      "--output-dir", str(out)]) == EXIT_OK
+
+
+class TestNotUtf8:
+    """A CSV that is not valid UTF-8 is a data error: exit 3 and one
+    'data error:' line, no traceback and no output file."""
+
+    @pytest.fixture
+    def latin(self, trained, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(trained[1].read_bytes().replace(b"f0,", b"f\xe90,", 1))
+        return path
+
+    def assert_data_error(self, rc, capsys, path):
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "%s is not UTF-8 text" % path in err and "0xe9" in err, err
+
+    def test_qut(self, latin, tmp_path, capsys):
+        rc = main(["qut", str(latin), "--target", "y", "--output-dir", str(tmp_path / "out")])
+        self.assert_data_error(rc, capsys, latin)
+        assert not (tmp_path / "out" / "qut.json").exists()
+
+    def test_fit(self, latin, tmp_path, capsys):
+        rc = main(["fit", str(latin), "--target", "y", "--output-dir", str(tmp_path / "out")])
+        self.assert_data_error(rc, capsys, latin)
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_predict(self, trained, latin, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["predict", str(trained[0] / "model.json"), str(latin),
+                   "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, latin)
+        assert not (out / "predictions.csv").exists()
+
+    def test_fit_test_file(self, trained, latin, tmp_path, capsys):
+        # the model file is written before the held-out file is read, as for
+        # every held-out data error; the held-out score is what is missing
+        out = tmp_path / "out"
+        rc = main(["fit", str(trained[1]), "--target", "y", "--hidden", "20", "--n-mc", "100",
+                   "--test-file", str(latin), "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert "test rmse" not in captured.out
+        err = captured.err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "%s is not UTF-8 text" % latin in err, err

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qutsparse.losses import TaskSpec, loss_and_grad, loss_value
 from qutsparse.network import (
+    PARAM_KEYS,
     Architecture,
     NetworkParams,
     _act_deriv,
@@ -368,3 +371,66 @@ class TestFlatLayout:
         for got, want in zip(blocks(g), ref, strict=True):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(g.flat, np.concatenate([b.ravel() for b in ref]))
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "softplus"])
+    @pytest.mark.parametrize("task", [REG, TaskSpec("classification", 3)], ids=["reg", "cls"])
+    def test_backward_into_a_reused_buffer(self, hidden, activation, task):
+        rng = np.random.default_rng(43)
+        arch = Architecture(7, hidden, task.n_outputs, activation)
+        params = init_params(arch, rng)
+        X = rng.normal(0, 1, (15, 7))
+        Y = (rng.normal(0, 1, (15, 1)) if task.kind == "regression"
+             else np.eye(3)[rng.integers(0, 3, 15)])
+        g = params.like(np.full(params.flat.size, np.nan))
+        for _ in range(3):
+            params.flat += rng.normal(0, 0.3, params.flat.size)
+            pred, cache = forward_cached(params, arch, X)
+            _, dpred = loss_and_grad(task, pred, Y)
+            assert backward(params, arch, cache, dpred, out=g) is g
+            np.testing.assert_array_equal(g.flat, backward(params, arch, cache, dpred).flat)
+            g.flat[::2] = np.nan  # stale entries must all be overwritten
+
+    def test_norm_backward_out_equals_allocating_form(self):
+        rng = np.random.default_rng(44)
+        V, norms = normalize_rows(rng.normal(0, 1, (4, 6)))
+        dV = rng.normal(0, 1, (4, 6))
+        out = np.full((4, 6), np.nan)
+        assert _norm_backward(V, norms, dV, out) is out
+        np.testing.assert_array_equal(out, _norm_backward(V, norms, dV))
+        dot = np.sum(dV * V, axis=1, keepdims=True)
+        np.testing.assert_array_equal(out, (dV - dot * V) / norms[:, None])
+
+
+class TestParamsFromDict:
+    def entry(self):
+        params = init_params(Architecture(5, (4, 3), 2), np.random.default_rng(45))
+        return params_to_dict(params, Architecture(5, (4, 3), 2))
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("w1", [[0.0] * 5] * 3, "w1 has 15 entries, widths [5, 4, 3, 2] need 4 x 5"),
+        ("deep", [[[0.0] * 4] * 3], "deep has shapes [(3, 4)], widths [5, 4, 3, 2] need "
+                                    "[(3, 4), (2, 3)]"),
+        ("biases", [[0.0] * 4, [0.0] * 2], "biases has shapes [(4,), (2,)]"),
+        ("intercept", [0.0], "intercept has shapes [(1,)], widths [5, 4, 3, 2] need [(2,)]"),
+    ])
+    def test_shape_mismatch_is_named(self, key, value, message):
+        d = self.entry()
+        d[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            params_from_dict(d)
+
+    def test_missing_keys_are_named(self):
+        d = self.entry()
+        assert set(d) == set(PARAM_KEYS)
+        for key in PARAM_KEYS:
+            with pytest.raises(ValueError, match="lacks '%s'$" % key):
+                params_from_dict({k: v for k, v in d.items() if k != key})
+        with pytest.raises(ValueError, match="expected an object"):
+            params_from_dict([d])
+
+    def test_flat_w1_of_the_right_size_is_reshaped(self):
+        d = self.entry()
+        d["w1"] = np.arange(20.0).tolist()
+        params, _ = params_from_dict(d)
+        np.testing.assert_array_equal(params.w1, np.arange(20.0).reshape(4, 5))

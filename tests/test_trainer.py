@@ -3,7 +3,7 @@ import pytest
 
 from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant
 from qutsparse.network import Architecture, backward, forward, forward_cached, init_params
-from qutsparse.penalty import prox, prox_vector, solve_threshold
+from qutsparse.penalty import penalty_slope, penalty_value, prox, prox_vector, solve_threshold
 from qutsparse.trainer import (
     FINAL_TOL,
     LAMBDA_FRACTIONS,
@@ -26,6 +26,7 @@ from qutsparse.trainer import (
     fit,
     ista_step,
 )
+from test_network import per_block_backward
 
 REG = TaskSpec("regression", 1)
 CLS3 = TaskSpec("classification", 3)
@@ -172,6 +173,69 @@ class TestFlatUpdates:
             assert 0 < np.count_nonzero(got.w1) < got.w1.size
 
 
+def per_block_adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
+    """_adam_phase as a loop over the allocating pieces: the per-block
+    backward pass and Adam, penalty_value and penalty_slope called apart,
+    and the regression gradient from np.linalg.norm."""
+    adam = PerBlockAdam(blocks(params), WARM_LR)
+    prev = initial = None
+    stop = STOP_BUDGET
+    for _ in range(cfg.max_phase_iters):
+        pred, cache = forward_cached(params, arch, X)
+        if task.kind == "regression":
+            R = Y - pred
+            ls = float(np.linalg.norm(R))
+            dpred = np.zeros_like(pred) if ls == 0.0 else -R / ls
+        else:
+            ls, dpred = loss_and_grad(task, pred, Y)
+        cost = ls
+        if nu is not None:
+            cost = ls + lam * float(np.sum(penalty_value(params.w1, nu)))
+        if initial is None:
+            initial = cost
+        if task.kind == "regression" and ls == 0.0:
+            stop = STOP_PERFECT
+            break
+        if prev is not None and abs(cost - prev) / max(1.0, prev) < tol:
+            stop = STOP_CONVERGED
+            break
+        g = per_block_backward(params, arch, cache, dpred)
+        if nu is not None:
+            g[0] = g[0] + lam * penalty_slope(params.w1, nu)
+        adam.step(blocks(params), g)
+        prev = cost
+    if stop == STOP_BUDGET:
+        cost = loss_value(task, forward(params, arch, X), Y)
+        if nu is not None:
+            cost += lam * float(np.sum(penalty_value(params.w1, nu)))
+    return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)
+
+
+class TestWholeLoopOracle:
+    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "softplus"])
+    @pytest.mark.parametrize("task", [REG, CLS3], ids=["reg", "cls"])
+    def test_adam_phase_equals_per_block_loop(self, hidden, activation, task):
+        rng = np.random.default_rng(52)
+        X = rng.normal(0, 1, (40, 9))
+        if task.kind == "regression":
+            Y = (2.0 * X[:, 1] - X[:, 4] + 0.3 * rng.normal(0, 1, 40))[:, None]
+        else:
+            Y = np.eye(3)[np.digitize(X[:, 1] + 0.5 * rng.normal(0, 1, 40), [-0.5, 0.5])]
+        arch = Architecture(9, hidden, task.n_outputs, activation)
+        start = init_params(arch, rng)
+        cfg = TrainConfig(max_phase_iters=150)
+        # a penalized warm phase, then an unpenalized refit from its end point
+        for lam, nu, tol in ((0.8, 0.7, WARM_TOL), (0.0, None, FINAL_TOL)):
+            got, want = start.copy(), start.copy()
+            rec = _adam_phase(got, arch, X, Y, task, cfg, lam, nu, tol, "phase")
+            ref = per_block_adam_phase(want, arch, X, Y, task, cfg, lam, nu, tol, "phase")
+            assert rec == ref
+            assert rec.iterations > 10
+            np.testing.assert_array_equal(got.flat, want.flat)
+            start = got
+
+
 class TestPhases:
     def test_warm_chaining_initial_cost(self):
         rng = np.random.default_rng(3)
@@ -182,8 +246,6 @@ class TestPhases:
         params = init_params(arch, rng)
         cfg = TrainConfig(seed=0)
         _adam_phase(params, arch, X, Y, REG, cfg, 0.3, 0.9, WARM_TOL, "a")
-        from qutsparse.penalty import penalty_value
-
         expected = loss_value(REG, forward(params, arch, X), Y) + 0.6 * float(
             np.sum(penalty_value(params.w1, 0.7))
         )
