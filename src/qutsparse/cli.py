@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .data import DataError, load_features, load_target, load_training
+from .data import DataError, load_scoring, load_training
 from .losses import TaskSpec
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
@@ -90,19 +90,23 @@ def _s_grid_type(text):
     return sorted(set(vals))
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+def _read_json(path, what):
+    """The JSON object in the file at path, which holds a config, a model or
+    a sweep manifest (what); DataError when it holds anything else."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            value = json.load(fh)
     except OSError as exc:
-        raise DataError("cannot read config %s: %s" % (path, exc)) from exc
+        raise DataError("cannot read %s %s: %s" % (what, path, exc)) from exc
     except ValueError as exc:
-        raise DataError("config %s is not valid JSON: %s" % (path, exc)) from exc
-    if not isinstance(cfg, dict):
-        raise DataError("config %s must hold a JSON object" % path)
-    return cfg
+        raise DataError("%s %s is not valid JSON: %s" % (what, path, exc)) from exc
+    if not isinstance(value, dict):
+        raise DataError("%s %s must hold a JSON object" % (what, path))
+    return value
+
+
+def _load_config(path):
+    return {} if path is None else _read_json(path, "config")
 
 
 def _real(value):
@@ -272,6 +276,8 @@ def cmd_fit(args):
         raise NumericalError("training loss came out %r" % res.train_loss)
 
     selected = _selected_entries(ds, res.selected)
+    # every data error of the held-out file comes before model.json is written
+    holdout = None if args.test_file is None else _score_holdout(args, res, selected, ds.labels)
     model = {
         "format_version": FORMAT_VERSION,
         "task": task.kind,
@@ -319,32 +325,29 @@ def cmd_fit(args):
             )
         )
     print("wrote %s" % path)
-
-    if args.test_file is not None:
-        _report_holdout(args, model, task)
+    if holdout is not None:
+        print(holdout)
     return EXIT_BUDGET if res.status == STATUS_MAX_ITERS else EXIT_OK
 
 
-def _report_holdout(args, model, task):
-    """Score the model on --test-file, reading only the columns predict
-    reads and the target."""
-    params, arch = params_from_dict(model["network"])
-    X, imputed = load_features(args.test_file, model["selected"], has_header=not args.no_header)
+def _score_holdout(args, res, selected, labels):
+    """The report line of --test-file, from one read of the file: only the
+    columns predict reads, plus the target column.  labels are the training
+    labels, None for regression."""
+    X, imputed, y = load_scoring(args.test_file, selected, has_header=not args.no_header,
+                                 target=args.target, task_kind=res.task.kind)
     if imputed:
         print("test file: imputed %d missing cells" % imputed, file=sys.stderr)
-    pred = forward(params, arch, X)
-    y = load_target(args.test_file, args.target, has_header=not args.no_header,
-                    task_kind=task.kind)
-    if task.kind == "classification":
-        for lab in sorted(set(y)):
-            if lab not in model["labels"]:
-                raise DataError("test file has unseen label %r" % lab)
-        got = [model["labels"][k] for k in np.argmax(pred, axis=1)]
-        acc = float(np.mean([g == w for g, w in zip(got, y)]))
-        print("test accuracy = %.4f  (%d rows)" % (acc, len(got)))
-    else:
+    pred = forward(res.params, res.arch, X)
+    if labels is None:
         resid = y.reshape(-1, 1) - pred
-        print("test rmse = %r  (%d rows)" % (float(np.sqrt(np.mean(resid ** 2))), len(resid)))
+        return "test rmse = %r  (%d rows)" % (float(np.sqrt(np.mean(resid ** 2))), len(resid))
+    unseen = sorted(set(y) - set(labels))
+    if unseen:
+        raise DataError("test file has unseen label %r" % unseen[0])
+    got = [labels[k] for k in np.argmax(pred, axis=1)]
+    acc = float(np.mean([g == w for g, w in zip(got, y)]))
+    return "test accuracy = %.4f  (%d rows)" % (acc, len(got))
 
 
 def _softmax(pred):
@@ -354,13 +357,7 @@ def _softmax(pred):
 
 
 def cmd_predict(args):
-    try:
-        with open(args.model) as fh:
-            model = json.load(fh)
-    except OSError as exc:
-        raise DataError("cannot read model %s: %s" % (args.model, exc)) from exc
-    except ValueError as exc:
-        raise DataError("model %s is not valid JSON: %s" % (args.model, exc)) from exc
+    model = _read_json(args.model, "model")
     if model.get("format_version") != FORMAT_VERSION:
         raise DataError("model %s has unsupported format_version %r"
                         % (args.model, model.get("format_version")))
@@ -373,7 +370,7 @@ def cmd_predict(args):
         params, arch = params_from_dict(model["network"])
     except (TypeError, ValueError) as exc:
         raise DataError("model %s: bad network: %s" % (args.model, exc)) from exc
-    X, imputed = load_features(args.data, model["selected"], has_header=not args.no_header)
+    X, imputed, _ = load_scoring(args.data, model["selected"], has_header=not args.no_header)
     if imputed:
         print("imputed %d missing cells with stored means" % imputed, file=sys.stderr)
     pred = forward(params, arch, X)
@@ -400,6 +397,30 @@ def cmd_predict(args):
     return EXIT_OK
 
 
+# The manifest fields of the options that change a trial.  --resume may
+# change the sparsity levels and the run count of a sweep, but a change of
+# any of these would mix two experiments in one records file.
+TRIAL_FIELDS = (("scenario", ("kind", "n", "p", "n_test", "seed")),
+                ("arch", ("hidden", "activation")), ("config", ("alpha", "n_mc")))
+
+
+def _check_resume(path, manifest):
+    """UsageError when the sweep manifest at path, if there is one, records
+    another value of a trial option than manifest."""
+    if not os.path.exists(path):
+        return
+    old = _read_json(path, "manifest")
+    try:
+        changed = ["%s %r there, %r here" % (key, old[sec][key], manifest[sec][key])
+                   for sec, keys in TRIAL_FIELDS for key in keys
+                   if old[sec][key] != manifest[sec][key]]
+    except (KeyError, TypeError) as exc:
+        raise DataError("manifest %s lacks field %s" % (path, exc)) from exc
+    if changed:
+        raise UsageError("--resume into a sweep of another scenario (%s): %s"
+                         % (path, "; ".join(changed)))
+
+
 def cmd_simulate(args):
     opts = _options(args, _load_config(args.config), "simulate")
     n, p, n_runs = args.n, args.p, opts["runs"]
@@ -410,6 +431,17 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    manifest = {
+        "format_version": 1,
+        "scenario": {"kind": args.kind, "n": n, "p": p, "s_grid": args.s,
+                     "n_test": opts["n_test"], "n_runs": n_runs, "seed": opts["seed"]},
+        "arch": {"hidden": list(opts["hidden"]), "activation": opts["activation"]},
+        "config": {"alpha": opts["alpha"], "n_mc": opts["n_mc"]},
+        "jobs": opts["jobs"],
+    }
+    manifest_path = _out_path(args, "sweep_manifest.json")
+    if args.resume:
+        _check_resume(manifest_path, manifest)
     records_path = _out_path(args, "sweep_records.jsonl")
     t0 = time.monotonic()
     rows, _records = sweep(
@@ -422,16 +454,8 @@ def cmd_simulate(args):
 
     csv_path = _out_path(args, "sweep.csv")
     write_csv(rows, csv_path)
-    _write_json(_out_path(args, "sweep_manifest.json"), {
-        "format_version": 1,
-        "scenario": {"kind": args.kind, "n": n, "p": p, "s_grid": args.s,
-                     "n_test": opts["n_test"], "n_runs": n_runs, "seed": opts["seed"]},
-        "arch": {"hidden": opts["hidden"], "activation": opts["activation"]},
-        "config": {"alpha": opts["alpha"], "n_mc": opts["n_mc"]},
-        "jobs": opts["jobs"],
-        "wall_time_s": wall,
-        "created_at": _timestamp(),
-    })
+    manifest.update(wall_time_s=wall, created_at=_timestamp())
+    _write_json(manifest_path, manifest)
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))
     for row in rows:

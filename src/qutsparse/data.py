@@ -265,26 +265,19 @@ def load_training(path, target, has_header=True, task_kind="regression"):
     )
 
 
-def load_target(path, target, has_header=True, task_kind="regression"):
-    """The target column of a held-out file, as load_training reads it
-    but without the one-hot coding: floats for regression, label strings
-    for classification.  No other column is read."""
-    names, data, start_row = _table(path, has_header)
-    j = _resolve_target(target, names, has_header, len(names))
-    return _target_values(data, j, names[j], start_row, task_kind)
-
-
-def load_features(path, selected, has_header=True):
-    """Feature matrix for prediction, standardized by STORED statistics.
+def load_scoring(path, selected, has_header=True, target=None, task_kind="regression"):
+    """A CSV to score with a stored model, read once: (X, n_imputed, y).
 
     ``selected`` is a list of dicts with name, index, mean, and std as
     written into the model file.  Columns are matched by name when the
-    file has a header and by original position otherwise.  Missing cells
-    are imputed with the stored mean.  Returns (X, n_imputed).
+    file has a header and by original position otherwise.  X holds them
+    standardized by these STORED statistics, missing cells imputed with
+    the stored mean.  With a ``target``, y is that column as load_training
+    reads it but without the one-hot coding: floats for regression, label
+    strings for classification; without one, y is None.  No other column
+    is read.
     """
     names, data, start_row = _table(path, has_header)
-    if not selected:
-        return np.zeros((len(data), 0)), 0
     cols, imputed = [], 0
     for feat in selected:
         if has_header:
@@ -305,4 +298,8 @@ def load_features(path, selected, has_header=True):
             imputed += int(miss.sum())
             col[miss] = feat["mean"]
         cols.append((col - feat["mean"]) / feat["std"])
-    return np.column_stack(cols), imputed
+    X = np.column_stack(cols) if cols else np.zeros((len(data), 0))
+    if target is None:
+        return X, imputed, None
+    j = _resolve_target(target, names, has_header, len(names))
+    return X, imputed, _target_values(data, j, names[j], start_row, task_kind)

@@ -49,7 +49,12 @@ def penalty_value(theta, nu):
 
 def penalty_slope(theta, nu):
     """Derivative of the penalty for theta != 0, with the subgradient choice
-    0 at theta = 0 (np.sign supplies it)."""
+    0 at theta = 0 (np.sign supplies it).
+
+    Training calls penalty_value_and_slope instead.  This one stays as an
+    exported name, as the bit-for-bit oracle of that function in
+    tests/test_penalty.py, and because perfbench/tracing.py wraps it by name.
+    """
     _validate(0.0, nu)
     t = np.abs(theta) ** (1.0 - nu)
     return np.sign(theta) * (1.0 + nu * t) / (1.0 + t) ** 2

@@ -107,7 +107,12 @@ def _draw(task, shape, p, rng):
 def sample_null(task, Y, rng):
     """One null response draw: standard normal columns for regression,
     one-hot rows with class probabilities from Y's proportions for
-    classification."""
+    classification.
+
+    compute_qut draws whole blocks instead; this per-draw form stays as the
+    reference that test_samples_bitwise_equal_block_reference holds those
+    blocks to, bit for bit.
+    """
     Y = np.asarray(Y, dtype=np.float64)
     return _draw(task, Y.shape, _class_probs(task, Y), rng)
 

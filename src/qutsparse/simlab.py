@@ -11,6 +11,7 @@ rebuild the summary CSV from the sorted record set.
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .data import DataError
 from .losses import TaskSpec
 from .network import Architecture, forward
 from .trainer import TrainConfig, fit
@@ -200,6 +202,33 @@ def _record_key(rec):
     return (rec["s"], rec["run"])
 
 
+def _read_records(path):
+    """The trial records of an earlier run's records file, keyed by (s, run).
+
+    A last line without its newline, as a run killed mid-write leaves it,
+    is cut off the file so that its trial runs again; any other line that
+    is not a trial record is a DataError, raised before the file changes.
+    """
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return {}
+    body, _, torn = text.rpartition(b"\n")
+    done = {}
+    for number, line in enumerate(body.split(b"\n"), 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+                done[_record_key(rec)] = rec
+            except (ValueError, TypeError, KeyError):
+                raise DataError("%s, line %d: not a trial record: %r"
+                                % (path, number, line[:80])) from None
+    if torn:
+        os.truncate(path, len(text) - len(torn))
+    return done
+
+
 def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
           n_test=1000, seed=0, alpha=0.05, n_mc=1000, jobs=1,
           records_path=None, resume=False):
@@ -207,27 +236,17 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
 
     With a records_path the sweep appends one JSON line per finished
     trial and, on resume, skips any (s, run) cell already present.  The
-    summary rows are always rebuilt from the sorted record set, so the
-    CSV is byte-identical for any jobs value or resume split.
+    summary rows are always rebuilt from the sorted records of this grid,
+    so the CSV is byte-identical for any jobs value or resume split.
     """
     s_grid = sorted(set(int(s) for s in s_grid))
     specs = [ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test, n_runs=n_runs, seed=seed)
              for s in s_grid]
 
-    done = {}
-    if records_path is not None and resume:
-        try:
-            with open(records_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        done[_record_key(rec)] = rec
-        except FileNotFoundError:
-            pass
-
-    cells = [(spec, run) for spec in specs for run in range(n_runs)
-             if (spec.s, run) not in done]
+    done = _read_records(records_path) if records_path is not None and resume else {}
+    grid = [(spec, run) for spec in specs for run in range(n_runs)]
+    kept = [done[spec.s, run] for spec, run in grid if (spec.s, run) in done]
+    cells = [(spec, run) for spec, run in grid if (spec.s, run) not in done]
     trial = partial(_worker, hidden=tuple(hidden), activation=activation,
                     alpha=alpha, n_mc=n_mc)
 
@@ -245,6 +264,6 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
                 sink.flush()
 
-    records = sorted(list(done.values()) + fresh, key=_record_key)
+    records = sorted(kept + fresh, key=_record_key)
     rows = aggregate(records, s_grid, n_runs)
     return rows, records

@@ -1,11 +1,12 @@
 import csv
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from qutsparse import cli, trainer
+from qutsparse import cli, data, trainer
 from qutsparse.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -376,12 +377,14 @@ class TestPredict:
 
     @pytest.mark.parametrize("drop,missing", [
         ("all", ["network", "selected", "task"]), ("network", ["network"]),
-        ("selected", ["selected"]), ("task", ["task"]), ("labels", ["labels"]),
+        ("selected", ["selected"]), ("task", ["task"]), ("labels", ["labels"]), ("list", []),
     ], ids=lambda c: c if isinstance(c, str) else None)
     def test_incomplete_model_is_data_error(self, trained, tmp_path, capsys, drop, missing):
         d, train, model = trained
         if drop == "all":
             model = {"format_version": 1}
+        elif drop == "list":
+            model = [model]
         elif drop == "labels":
             model = {k: v for k, v in model.items() if k != "labels"}
             model["task"] = "classification"
@@ -469,6 +472,69 @@ class TestSimulate:
                    "--output-dir", str(part)] + self.ARGS)
         assert rc == EXIT_OK
         assert (part / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+
+    RESUME = {"kind": "linear", "--n": "30", "--p": "12", "--s": "0:2", "--runs": "1",
+              "--n-mc": "50", "--jobs": "1"}
+
+    def resume_argv(self, out, changes=(), resume=True):
+        """The RESUME sweep with changes (pairs of flag or 'kind', and value)
+        into out."""
+        opts = dict(self.RESUME, **dict(changes))
+        argv = ["simulate", opts.pop("kind"), "--output-dir", str(out)]
+        return argv + [x for kv in opts.items() for x in kv] + (["--resume"] if resume else [])
+
+    @pytest.fixture(scope="class")
+    def swept(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("swept")
+        assert main(self.resume_argv(out, resume=False)) == EXIT_OK
+        return out
+
+    def test_resume_after_a_torn_record(self, swept, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(swept, out)
+        records = out / "sweep_records.jsonl"
+        records.write_bytes(records.read_bytes()[:-15])
+        (out / "sweep.csv").unlink()
+        assert main(self.resume_argv(out)) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
+        assert sorted(records.read_text().splitlines()) == sorted(
+            (swept / "sweep_records.jsonl").read_text().splitlines())
+
+    def test_resume_refuses_a_malformed_record(self, swept, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(swept, out)
+        lines = (out / "sweep_records.jsonl").read_text().splitlines(keepends=True)
+        (out / "sweep_records.jsonl").write_text(lines[0] + '{"s": 1,\n' + "".join(lines[2:]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(self.resume_argv(out)) == EXIT_DATA
+        assert "line 2: not a trial record" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("changes", [
+        [("kind", "absdiff"), ("--s", "0,2")], [("--n", "40")], [("--p", "8")],
+        [("--n-test", "40")], [("--seed", "1")], [("--hidden", "3")],
+        [("--activation", "softplus")], [("--alpha", "0.1")], [("--n-mc", "60")],
+    ], ids=lambda c: c[0][0].lstrip("-"))
+    def test_resume_refuses_another_scenario(self, swept, tmp_path, capsys, changes):
+        out = tmp_path / "out"
+        shutil.copytree(swept, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(self.resume_argv(out, changes)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --resume into a sweep of another scenario"), err
+        assert "%s " % changes[0][0].lstrip("-").replace("-", "_") in err, err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_resume_may_add_and_drop_levels_and_runs(self, swept, tmp_path):
+        grown = [("--s", "0:3"), ("--runs", "2")]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        shutil.copytree(swept, out)
+        assert main(self.resume_argv(out, grown)) == EXIT_OK
+        assert main(self.resume_argv(fresh, grown, resume=False)) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+        # back to the first grid: the extra records stay in the file, unread
+        assert main(self.resume_argv(out)) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
 
     def test_config_seed_and_jobs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -610,11 +676,12 @@ class TestHoldout:
         rows = list(csv.reader((cls_files / "test.csv").read_text().splitlines()))
         test = tmp_path / "new.csv"
         write_csv_file(test, rows[0], rows[1:3] + [rows[3][:-1] + ["maybe"]])
-        rc, _ = self.fit_with_test_file(tmp_path, cls_files / "train.csv", test,
-                                        ["klass", "--task", "classification", "--hidden",
-                                         "none"])
+        rc, out = self.fit_with_test_file(tmp_path, cls_files / "train.csv", test,
+                                          ["klass", "--task", "classification", "--hidden",
+                                           "none"])
         assert rc == EXIT_DATA
         assert "unseen label 'maybe'" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
     def test_bad_cell_in_unselected_column(self, trained, tmp_path, capsys):
         d, train, model = trained
@@ -629,6 +696,42 @@ class TestHoldout:
         assert "test rmse = " in capsys.readouterr().out
         assert main(["predict", str(out / "model.json"), str(test),
                      "--output-dir", str(out)]) == EXIT_OK
+
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_one_read_scored_by_the_fitted_network(self, trained, cls_files, tmp_path,
+                                                   monkeypatch, capsys, task):
+        """The held-out file is read once, and the printed score is the one
+        FitResult.predict gives on it, standardized by the training file's
+        statistics."""
+        if task == "regression":
+            train, test = trained[1], tmp_path / "test.csv"
+            make_regression_csv(test, n=40, seed=9)
+            extra = ["y", "--hidden", "20", "--seed", "1"]
+        else:
+            train, test = cls_files / "train.csv", cls_files / "test.csv"
+            extra = ["klass", "--task", "classification", "--hidden", "10"]
+        reads, results = [], []
+        read_text = data._read_text
+        monkeypatch.setattr(data, "_read_text", lambda path: reads.append(path) or read_text(path))
+        monkeypatch.setattr(cli, "fit",
+                            lambda *a, **k: results.append(trainer.fit(*a, **k)) or results[-1])
+        rc, _ = self.fit_with_test_file(tmp_path, train, test, extra)
+        assert rc in (EXIT_OK, EXIT_BUDGET)
+        assert [str(path) for path in reads].count(str(test)) == 1
+
+        ds = data.load_training(train, extra[0], task_kind=task)
+        rows = list(csv.reader(test.read_text().splitlines()))
+        X = np.array([[float(row[j]) for j in ds.indices] for row in rows[1:]])
+        y = [row[rows[0].index(extra[0])] for row in rows[1:]]
+        pred = results[0].predict((X - ds.mean) / ds.std)
+        if task == "regression":
+            rmse = float(np.sqrt(np.mean((np.array(y, dtype=float)[:, None] - pred) ** 2)))
+            line = "test rmse = %r  (%d rows)" % (rmse, len(y))
+        else:
+            acc = np.mean(np.array(ds.labels)[np.argmax(pred, axis=1)] == np.array(y))
+            line = "test accuracy = %.4f  (%d rows)" % (acc, len(y))
+        assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 class TestNotUtf8:
@@ -665,8 +768,7 @@ class TestNotUtf8:
         assert not (out / "predictions.csv").exists()
 
     def test_fit_test_file(self, trained, latin, tmp_path, capsys):
-        # the model file is written before the held-out file is read, as for
-        # every held-out data error; the held-out score is what is missing
+        # the held-out file is read and checked before model.json is written
         out = tmp_path / "out"
         rc = main(["fit", str(trained[1]), "--target", "y", "--hidden", "20", "--n-mc", "100",
                    "--test-file", str(latin), "--output-dir", str(out)])
@@ -676,3 +778,4 @@ class TestNotUtf8:
         assert rc == EXIT_DATA
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "%s is not UTF-8 text" % latin in err, err
+        assert not (out / "model.json").exists()

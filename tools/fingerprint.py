@@ -32,7 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 VOLATILE = ("created_at", "wall_time_s")
 README_GRID = ["simulate", "linear", "--n", "70", "--p", "250", "--s", "0:25", "--runs", "2"]
 
-# label -> argv; {reg}, {cls} and {wide} name the generated CSVs
+# label -> argv, run in this order from the parent of the output
+# directories; {reg}, {cls}, {wide}, {reg_test} and {cls_test} name the
+# generated CSVs
 COMMANDS = {
     "grid-jobs1": README_GRID + ["--jobs", "1"],
     "grid-jobs2": README_GRID + ["--jobs", "2"],
@@ -42,6 +44,11 @@ COMMANDS = {
     "fit-3class": ["fit", "{cls}", "--target", "label", "--task", "classification",
                    "--hidden", "10"],
     "qut-300x80": ["qut", "{wide}", "--target", "y", "--hidden", "20"],
+    "predict-20": ["predict", "fit-20/model.json", "{reg_test}"],
+    "fit-20-test": ["fit", "{reg}", "--target", "y", "--hidden", "20",
+                    "--test-file", "{reg_test}"],
+    "fit-3class-test": ["fit", "{cls}", "--target", "label", "--task", "classification",
+                        "--hidden", "10", "--test-file", "{cls_test}"],
 }
 
 
@@ -55,7 +62,8 @@ def _write_csv(path, X, y, target):
 
 def write_inputs(directory):
     """The input CSVs, from fixed seeds: a 60x6 regression file, a 150x10
-    3-class file and a 300x80 regression file."""
+    3-class file, a 300x80 regression file, and held-out files of 40 and 60
+    rows drawn as the first two are."""
     rng = np.random.default_rng(20241117)
     X = rng.normal(size=(60, 6))
     _write_csv(directory / "reg.csv", X, 2.0 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=60), "y")
@@ -65,8 +73,14 @@ def write_inputs(directory):
     X = rng.normal(size=(300, 80))
     _write_csv(directory / "wide.csv", X, 2.0 * X[:, 3] - 1.5 * X[:, 11] + rng.normal(size=300),
                "y")
-    return {"reg": directory / "reg.csv", "cls": directory / "cls.csv",
-            "wide": directory / "wide.csv"}
+    X = rng.normal(size=(40, 6))
+    _write_csv(directory / "reg_test.csv", X, 2.0 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=40),
+               "y")
+    X = rng.normal(size=(60, 10))
+    labels = np.array(["a", "b", "c"])[np.digitize(X[:, 2], [-0.5, 0.5])]
+    _write_csv(directory / "cls_test.csv", X, labels, "label")
+    return {name: directory / ("%s.csv" % name)
+            for name in ("reg", "cls", "wide", "reg_test", "cls_test")}
 
 
 def _strip(value):
