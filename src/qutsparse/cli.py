@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .data import DataError, load_scoring, load_training
+from .data import DataError, ScoringFile, load_training
 from .losses import TaskSpec
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
@@ -269,6 +269,10 @@ def cmd_qut(args):
 def cmd_fit(args):
     opts = _options(args, _load_config(args.config), "fit")
     ds, task, arch = _ingest(args, opts)
+    # the held-out file is read and checked before the fit, which only
+    # its selected columns wait for
+    holdout = None if args.test_file is None else ScoringFile(
+        args.test_file, not args.no_header, args.target, task.kind, ds.labels)
     train_cfg = TrainConfig(alpha=opts["alpha"], n_mc=opts["n_mc"],
                             max_phase_iters=opts["max_phase_iters"], seed=opts["seed"])
     res = fit(ds.X, ds.Y, task, arch, config=train_cfg)
@@ -276,8 +280,7 @@ def cmd_fit(args):
         raise NumericalError("training loss came out %r" % res.train_loss)
 
     selected = _selected_entries(ds, res.selected)
-    # every data error of the held-out file comes before model.json is written
-    holdout = None if args.test_file is None else _score_holdout(args, res, selected, ds.labels)
+    score = None if holdout is None else _score_holdout(holdout, res, selected, ds.labels)
     model = {
         "format_version": FORMAT_VERSION,
         "task": task.kind,
@@ -325,26 +328,23 @@ def cmd_fit(args):
             )
         )
     print("wrote %s" % path)
-    if holdout is not None:
-        print(holdout)
+    if score is not None:
+        print(score)
     return EXIT_BUDGET if res.status == STATUS_MAX_ITERS else EXIT_OK
 
 
-def _score_holdout(args, res, selected, labels):
-    """The report line of --test-file, from one read of the file: only the
-    columns predict reads, plus the target column.  labels are the training
+def _score_holdout(holdout, res, selected, labels):
+    """The report line of --test-file: the fitted network's score on the
+    selected columns of the held-out file.  labels are the training
     labels, None for regression."""
-    X, imputed, y = load_scoring(args.test_file, selected, has_header=not args.no_header,
-                                 target=args.target, task_kind=res.task.kind)
+    X, imputed = holdout.columns(selected)
     if imputed:
         print("test file: imputed %d missing cells" % imputed, file=sys.stderr)
     pred = forward(res.params, res.arch, X)
+    y = holdout.y
     if labels is None:
         resid = y.reshape(-1, 1) - pred
         return "test rmse = %r  (%d rows)" % (float(np.sqrt(np.mean(resid ** 2))), len(resid))
-    unseen = sorted(set(y) - set(labels))
-    if unseen:
-        raise DataError("test file has unseen label %r" % unseen[0])
     got = [labels[k] for k in np.argmax(pred, axis=1)]
     acc = float(np.mean([g == w for g, w in zip(got, y)]))
     return "test accuracy = %.4f  (%d rows)" % (acc, len(got))
@@ -370,7 +370,7 @@ def cmd_predict(args):
         params, arch = params_from_dict(model["network"])
     except (TypeError, ValueError) as exc:
         raise DataError("model %s: bad network: %s" % (args.model, exc)) from exc
-    X, imputed, _ = load_scoring(args.data, model["selected"], has_header=not args.no_header)
+    X, imputed = ScoringFile(args.data, has_header=not args.no_header).columns(model["selected"])
     if imputed:
         print("imputed %d missing cells with stored means" % imputed, file=sys.stderr)
     pred = forward(params, arch, X)
@@ -449,6 +449,8 @@ def cmd_simulate(args):
         hidden=opts["hidden"], activation=opts["activation"], n_runs=n_runs,
         n_test=opts["n_test"], seed=opts["seed"], alpha=opts["alpha"], n_mc=opts["n_mc"],
         jobs=opts["jobs"], records_path=records_path, resume=args.resume,
+        # the trial identity is on disk before the first trial, for --resume
+        on_start=lambda: _write_json(manifest_path, manifest),
     )
     wall = time.monotonic() - t0
 

@@ -265,41 +265,54 @@ def load_training(path, target, has_header=True, task_kind="regression"):
     )
 
 
-def load_scoring(path, selected, has_header=True, target=None, task_kind="regression"):
-    """A CSV to score with a stored model, read once: (X, n_imputed, y).
+class ScoringFile:
+    """A CSV to score with a stored model, read once.
 
-    ``selected`` is a list of dicts with name, index, mean, and std as
-    written into the model file.  Columns are matched by name when the
-    file has a header and by original position otherwise.  X holds them
-    standardized by these STORED statistics, missing cells imputed with
-    the stored mean.  With a ``target``, y is that column as load_training
-    reads it but without the one-hot coding: floats for regression, label
-    strings for classification; without one, y is None.  No other column
-    is read.
+    Reading it checks all that needs no model: the file is readable UTF-8
+    with rows of one width and, given a ``target``, that column exists,
+    has no missing value and, given the training ``labels`` too, no other
+    label.  y is that column as load_training reads it but without the
+    one-hot coding: floats for regression, label strings for
+    classification; without a target, y is None.  columns() parses the
+    feature columns a model selects, and no other.
     """
-    names, data, start_row = _table(path, has_header)
-    cols, imputed = [], 0
-    for feat in selected:
-        if has_header:
-            if feat["name"] not in names:
-                missing = [f["name"] for f in selected if f["name"] not in names]
-                raise DataError("%s: missing feature columns %r" % (path, missing))
-            j = names.index(feat["name"])
-        else:
-            j = int(feat["index"])
-            if j >= len(names):
-                raise DataError(
-                    "%s: feature %r expects column %d but file has %d columns"
-                    % (path, feat["name"], j, len(names))
-                )
-        col = _parse_column(data, j, feat["name"], start_row)
-        miss = np.isnan(col)
-        if miss.any():
-            imputed += int(miss.sum())
-            col[miss] = feat["mean"]
-        cols.append((col - feat["mean"]) / feat["std"])
-    X = np.column_stack(cols) if cols else np.zeros((len(data), 0))
-    if target is None:
-        return X, imputed, None
-    j = _resolve_target(target, names, has_header, len(names))
-    return X, imputed, _target_values(data, j, names[j], start_row, task_kind)
+
+    def __init__(self, path, has_header=True, target=None, task_kind="regression", labels=None):
+        self.path, self.has_header = path, has_header
+        self.names, self.rows, self.start_row = _table(path, has_header)
+        self.y = None
+        if target is not None:
+            j = _resolve_target(target, self.names, has_header, len(self.names))
+            self.y = _target_values(self.rows, j, self.names[j], self.start_row, task_kind)
+            unseen = sorted(set(self.y) - set(labels)) if labels is not None else ()
+            if unseen:
+                raise DataError("%s: unseen label %r" % (path, unseen[0]))
+
+    def columns(self, selected):
+        """(X, n_imputed) for ``selected``, a list of dicts with name, index,
+        mean, and std as written into the model file.  Columns are matched
+        by name when the file has a header and by original position
+        otherwise.  X holds them standardized by these STORED statistics,
+        missing cells imputed with the stored mean."""
+        names, cols, imputed = self.names, [], 0
+        for feat in selected:
+            if self.has_header:
+                if feat["name"] not in names:
+                    missing = [f["name"] for f in selected if f["name"] not in names]
+                    raise DataError("%s: missing feature columns %r" % (self.path, missing))
+                j = names.index(feat["name"])
+            else:
+                j = int(feat["index"])
+                if j >= len(names):
+                    raise DataError(
+                        "%s: feature %r expects column %d but file has %d columns"
+                        % (self.path, feat["name"], j, len(names))
+                    )
+            col = _parse_column(self.rows, j, feat["name"], self.start_row)
+            miss = np.isnan(col)
+            if miss.any():
+                imputed += int(miss.sum())
+                col[miss] = feat["mean"]
+            cols.append((col - feat["mean"]) / feat["std"])
+        X = np.column_stack(cols) if cols else np.zeros((len(self.rows), 0))
+        return X, imputed

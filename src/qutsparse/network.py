@@ -9,9 +9,10 @@ differentiated, not frozen: gradients of the stored rows are the
 tangential component of the gradients of the applied rows.
 
 Activations are unbounded above with derivative bounded by 1 (relu,
-leaky relu with slope 0.01, softplus); the output layer is affine.  A
-network with no hidden layers degenerates to the linear model, where the
-single weight matrix is penalized and unnormalized.
+leaky relu with slope 0.01, softplus); the output layer is affine.  The
+linear model is the network with no hidden layer: the same layer loop of
+forward_cached, backward and prune runs zero times, and w1, penalized and
+unnormalized as always, maps the inputs straight to the outputs.
 
 All parameters live in one contiguous float64 vector, ``NetworkParams.flat``:
 w1, then the deep matrices from layer 2 up, then the hidden biases, then
@@ -207,33 +208,20 @@ def forward_cached(params, arch, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise ValueError("X must be (n, %d), got %r" % (arch.input_dim, X.shape))
-    L = arch.n_layers
     acts = [X]
-    zs = []
-    Vs = []
-    norms = []
-    if L == 1:
-        pred = X @ params.w1.T
-        pred += params.intercept
-        return pred, (acts, zs, Vs, norms)
+    zs, Vs, norms = [], [], []
     z = X @ params.w1.T
-    z += params.biases[0]
-    zs.append(z)
-    acts.append(_act(arch.activation, z))
-    for l in range(2, L):
-        V, nr = normalize_rows(params.deep[l - 2])
+    # one pass per hidden layer; the linear model has none
+    for b, W in zip(params.biases, params.deep):
+        z += b
+        zs.append(z)
+        acts.append(_act(arch.activation, z))
+        V, nr = normalize_rows(W)
         Vs.append(V)
         norms.append(nr)
         z = acts[-1] @ V.T
-        z += params.biases[l - 1]
-        zs.append(z)
-        acts.append(_act(arch.activation, z))
-    V, nr = normalize_rows(params.deep[L - 2])
-    Vs.append(V)
-    norms.append(nr)
-    pred = acts[-1] @ V.T
-    pred += params.intercept
-    return pred, (acts, zs, Vs, norms)
+    z += params.intercept
+    return z, (acts, zs, Vs, norms)
 
 
 def forward(params, arch, X):
@@ -248,24 +236,18 @@ def backward(params, arch, cache, dpred, out=None):
     a training phase can keep one gradient buffer for all its updates.
     Returns the gradient."""
     acts, zs, Vs, norms = cache
-    L = arch.n_layers
     g = params.like(np.empty_like(params.flat)) if out is None else out
     dpred.sum(axis=0, out=g.intercept)
-    if L == 1:
-        np.matmul(dpred.T, acts[0], out=g.w1)
-        return g
-    dE = dpred.T @ acts[L - 1]
-    _norm_backward(Vs[L - 2], norms[L - 2], dE, out=g.deep[L - 2])
-    U = dpred @ Vs[L - 2]
-    for l in range(L - 1, 0, -1):
-        Dl = U * _act_deriv(arch.activation, zs[l - 1])
-        Dl.sum(axis=0, out=g.biases[l - 1])
-        if l == 1:
-            np.matmul(Dl.T, acts[0], out=g.w1)
-        else:
-            dE = Dl.T @ acts[l - 1]
-            _norm_backward(Vs[l - 2], norms[l - 2], dE, out=g.deep[l - 2])
-            U = Dl @ Vs[l - 2]
+    # D is the gradient with respect to the pre-activation of the layer
+    # being passed, from the output down to the first hidden layer
+    D = dpred
+    for l in range(len(Vs) - 1, -1, -1):
+        dE = D.T @ acts[l + 1]
+        _norm_backward(Vs[l], norms[l], dE, out=g.deep[l])
+        D = D @ Vs[l]
+        D *= _act_deriv(arch.activation, zs[l])
+        D.sum(axis=0, out=g.biases[l])
+    np.matmul(D.T, acts[0], out=g.w1)
     return g
 
 
@@ -288,14 +270,9 @@ def prune(params, arch):
         const = forward(params, arch, probe)[0]
         p_arch = Architecture(0, (), arch.output_dim, arch.activation)
         return NetworkParams(w1=np.zeros((arch.output_dim, 0)), intercept=const), p_arch, selected
-    if arch.n_layers == 1:
-        p_arch = Architecture(selected.size, (), arch.output_dim, arch.activation)
-        p_params = NetworkParams(w1=w1[:, selected], intercept=params.intercept)
-        return p_params, p_arch, selected
     alive = np.flatnonzero(np.any(w1 != 0.0, axis=1))
-    if alive.size == w1.shape[0] and selected.size == w1.shape[1]:
-        return params.copy(), arch, selected
-    if alive.size == w1.shape[0]:
+    # a linear model's w1 rows are its outputs, never dropped
+    if arch.n_layers == 1 or alive.size == w1.shape[0]:
         p_arch = Architecture(selected.size, arch.hidden, arch.output_dim, arch.activation)
         p_params = NetworkParams(w1[:, selected], params.deep, params.biases, params.intercept)
         return p_params, p_arch, selected

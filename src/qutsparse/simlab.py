@@ -231,11 +231,13 @@ def _read_records(path):
 
 def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
           n_test=1000, seed=0, alpha=0.05, n_mc=1000, jobs=1,
-          records_path=None, resume=False):
+          records_path=None, resume=False, on_start=None):
     """Run the full grid and return (rows, records).
 
     With a records_path the sweep appends one JSON line per finished
-    trial and, on resume, skips any (s, run) cell already present.  The
+    trial and, on resume, skips any (s, run) cell already present.
+    on_start, when given, is called once the earlier records are read and
+    checked, before any trial starts or any record is written.  The
     summary rows are always rebuilt from the sorted records of this grid,
     so the CSV is byte-identical for any jobs value or resume split.
     """
@@ -244,6 +246,8 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
              for s in s_grid]
 
     done = _read_records(records_path) if records_path is not None and resume else {}
+    if on_start is not None:
+        on_start()
     grid = [(spec, run) for spec in specs for run in range(n_runs)]
     kept = [done[spec.s, run] for spec, run in grid if (spec.s, run) in done]
     cells = [(spec, run) for spec, run in grid if (spec.s, run) not in done]

@@ -140,17 +140,19 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     adam = _Adam(params.flat.size, WARM_LR)
     g = params.like(np.empty_like(params.flat))
     prev = None
-    initial = None
-    stop = STOP_BUDGET
-    for _ in range(cfg.max_phase_iters):
+    # one pass more than the budget, to price the last update
+    for it in range(cfg.max_phase_iters + 1):
         pred, cache = network.forward_cached(params, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
         cost = ls
         if nu is not None:
             pen, slope = penalty_value_and_slope(params.w1, nu)
             cost = ls + lam * float(pen.sum())
-        if initial is None:
+        if it == 0:
             initial = cost
+        if it == cfg.max_phase_iters:
+            stop = STOP_BUDGET
+            break
         if task.kind == "regression" and ls == 0.0:
             stop = STOP_PERFECT
             break
@@ -163,12 +165,6 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
             g.w1 += slope
         adam.step(params.flat, g.flat)
         prev = cost
-    if stop == STOP_BUDGET:
-        cost = loss_value(task, network.forward(params, arch, X), Y)
-        if nu is not None:
-            cost += lam * float(penalty_value(params.w1, nu).sum())
-    if initial is None:
-        initial = cost
     return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)
 
 

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from qutsparse import cli, data, trainer
+from qutsparse import cli, data, simlab, trainer
 from qutsparse.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -525,6 +525,28 @@ class TestSimulate:
         assert "%s " % changes[0][0].lstrip("-").replace("-", "_") in err, err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_killed_first_sweep_leaves_its_identity(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        run_trial, started = simlab.run_trial, []
+
+        def killed_after_one(*args, **kwargs):
+            if started:
+                raise KeyboardInterrupt
+            started.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(simlab, "run_trial", killed_after_one)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.resume_argv(out, resume=False))
+        monkeypatch.undo()
+        assert len((out / "sweep_records.jsonl").read_text().splitlines()) == 1
+        assert (out / "sweep_manifest.json").exists()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(self.resume_argv(out, [("--n", "40"), ("--p", "8")])) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --resume into a sweep of another scenario"), err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_resume_may_add_and_drop_levels_and_runs(self, swept, tmp_path):
         grown = [("--s", "0:3"), ("--runs", "2")]
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -659,6 +681,36 @@ class TestHoldout:
         rc = main(["fit", str(train), "--target", extra[0], "--n-mc", "100",
                    "--test-file", str(test), "--output-dir", str(out)] + extra[1:])
         return rc, out
+
+    @pytest.mark.parametrize("fault", ["not_utf8", "no_target", "unseen_label"])
+    def test_checked_before_the_fit(self, trained, cls_files, tmp_path, monkeypatch, capsys,
+                                    fault):
+        """A held-out fault that the fit does not decide exits 3 before the
+        fit starts."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the held-out file was checked")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        test = tmp_path / "test.csv"
+        if fault == "unseen_label":
+            rows = list(csv.reader((cls_files / "test.csv").read_text().splitlines()))
+            write_csv_file(test, rows[0], rows[1:3] + [rows[3][:-1] + ["maybe"]])
+            train, extra = cls_files / "train.csv", ["klass", "--task", "classification"]
+            message = "unseen label 'maybe'"
+        else:
+            train, extra = trained[1], ["y"]
+            if fault == "not_utf8":
+                test.write_bytes(train.read_bytes().replace(b"f0,", b"f\xe90,", 1))
+                message = "is not UTF-8 text"
+            else:
+                rows = [row[:-1] for row in csv.reader(train.read_text().splitlines())]
+                write_csv_file(test, rows[0], rows[1:])
+                message = "target column 'y' not in header"
+        rc, out = self.fit_with_test_file(tmp_path, train, test, extra)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ") and message in err, err
+        assert not (out / "model.json").exists()
 
     def test_single_label_test_file(self, cls_files, tmp_path, capsys):
         rows = list(csv.reader((cls_files / "test.csv").read_text().splitlines()))

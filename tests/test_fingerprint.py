@@ -20,9 +20,10 @@ def test_tiny_grid_fingerprint_repeats():
     first = fp.fingerprint(tiny, ROOT / "src")
     assert first[0] == "tiny exit 0"
     assert [line.split()[1] for line in first[1:]] == [
-        "sweep.csv", "sweep_manifest.json", "sweep_records.jsonl"]
+        "stdout", "sweep.csv", "sweep_manifest.json", "sweep_records.jsonl"]
     assert all(re.fullmatch(r"tiny \S+ [0-9a-f]{64}", line) for line in first[1:])
-    # wall_time_s, created_at and the record order change from run to run
+    # wall_time_s, created_at, the record order and the temporary directory
+    # named in stdout change from run to run
     assert fp.fingerprint(tiny, ROOT / "src") == first
 
 

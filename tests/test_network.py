@@ -5,9 +5,11 @@ import pytest
 
 from qutsparse.losses import TaskSpec, loss_and_grad, loss_value
 from qutsparse.network import (
+    ACTIVATIONS,
     PARAM_KEYS,
     Architecture,
     NetworkParams,
+    _act,
     _act_deriv,
     _norm_backward,
     backward,
@@ -253,12 +255,15 @@ class TestPrune:
 
     def test_noop_when_dense(self):
         rng = np.random.default_rng(12)
-        arch = Architecture(4, (3,), 2, "relu")
-        params = init_params(arch, rng)
-        pp, pa, sel = prune(params, arch)
-        assert pa == arch
-        np.testing.assert_array_equal(sel, np.arange(4))
-        np.testing.assert_array_equal(pp.w1, params.w1)
+        for hidden in [(), (3,), (3, 2)]:
+            arch = Architecture(4, hidden, 2, "relu")
+            params = init_params(arch, rng)
+            pp, pa, sel = prune(params, arch)
+            assert pa == arch
+            np.testing.assert_array_equal(sel, np.arange(4))
+            for got, want in zip(blocks(pp), blocks(params), strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(pp.flat, params.flat)
 
     def test_linear_feature_prune(self):
         arch = Architecture(4, (), 1)
@@ -268,6 +273,19 @@ class TestPrune:
         pp, pa, sel = prune(params, arch)
         np.testing.assert_array_equal(sel, [1, 3])
         np.testing.assert_array_equal(pp.w1, [[1.5, -2.0]])
+
+    def test_linear_zero_row_keeps_its_output(self):
+        # a linear model's w1 row is an output, not a dead neuron
+        arch = Architecture(3, (), 2)
+        params = NetworkParams(w1=np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0]]),
+                               intercept=np.array([0.5, -1.5]))
+        pp, pa, sel = prune(params, arch)
+        assert pa == Architecture(2, (), 2)
+        np.testing.assert_array_equal(sel, [0, 2])
+        np.testing.assert_array_equal(pp.w1, [[1.0, -2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(pp.intercept, [0.5, -1.5])
+        X = np.random.default_rng(15).normal(0, 1, (20, 3))
+        np.testing.assert_array_equal(forward(pp, pa, X[:, sel]), forward(params, arch, X))
 
 
 class TestUtilities:
@@ -298,6 +316,40 @@ class TestUtilities:
             Architecture(3, (0,), 1)
         with pytest.raises(ValueError):
             Architecture(3, (), 1, "tanh")
+
+
+def per_block_forward(params, arch, X):
+    """forward_cached as it was with the linear model on a path of its own
+    and the last deep layer outside the loop."""
+    L = arch.n_layers
+    acts, zs, Vs, norms = [X], [], [], []
+    if L == 1:
+        pred = X @ params.w1.T
+        pred += params.intercept
+        return pred, (acts, zs, Vs, norms)
+    z = X @ params.w1.T
+    z += params.biases[0]
+    zs.append(z)
+    acts.append(_act(arch.activation, z))
+    for l in range(2, L):
+        V, nr = normalize_rows(params.deep[l - 2])
+        Vs.append(V)
+        norms.append(nr)
+        z = acts[-1] @ V.T
+        z += params.biases[l - 1]
+        zs.append(z)
+        acts.append(_act(arch.activation, z))
+    V, nr = normalize_rows(params.deep[L - 2])
+    Vs.append(V)
+    norms.append(nr)
+    pred = acts[-1] @ V.T
+    pred += params.intercept
+    return pred, (acts, zs, Vs, norms)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def per_block_backward(params, arch, cache, dpred):
@@ -352,7 +404,23 @@ class TestFlatLayout:
         np.testing.assert_array_equal(
             params.flat, [1.5] * 12 + [2.5] * 8 + [3.5] * 2 + [0.0] * 4 + [4.5, 5.5, 6.5])
 
-    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)])
+    @pytest.mark.parametrize("hidden", [(), (5,), (8, 4), (3, 2, 2)])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_forward_matches_per_block_reference(self, hidden, activation):
+        rng = np.random.default_rng(45)
+        arch = Architecture(7, hidden, 2, activation)
+        params = init_params(arch, rng)
+        params.flat += rng.normal(0, 0.3, params.flat.size)
+        X = rng.normal(0, 1, (15, 7))
+        pred, cache = forward_cached(params, arch, X)
+        want_pred, want_cache = per_block_forward(params, arch, X)
+        assert_bitwise(pred, want_pred)
+        for got, want in zip(cache, want_cache, strict=True):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4), (3, 2, 2)])
     @pytest.mark.parametrize("task", [REG, TaskSpec("classification", 3)], ids=["reg", "cls"])
     def test_backward_matches_per_block_reference(self, hidden, task):
         rng = np.random.default_rng(42)

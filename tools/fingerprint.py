@@ -7,10 +7,13 @@ temporary directory, with the package imported from DIR (default: the
 ``src/`` next to this directory).  The input CSVs are generated here from
 fixed seeds, so every checkout sees the same bytes.  One line is printed
 per command and output file: its label, the file name and the sha256 of
-its content, plus one line with the exit code.  Fields that differ on
-every run are left out of the hash: ``created_at`` and ``wall_time_s`` in
-JSON files, and the line order of ``sweep_records.jsonl``, which parallel
-workers append in completion order.
+its content, plus one line with the exit code and one with the sha256 of
+the command's standard output (the fit report, the held-out score, the
+sweep table), in which the temporary directory's path is replaced by a
+fixed token.  Fields that differ on every run are left out of the hash:
+``created_at`` and ``wall_time_s`` in JSON files, and the line order of
+``sweep_records.jsonl``, which parallel workers append in completion
+order.
 
 To show that a change leaves every output as it was, run the script on
 both checkouts (``--src`` pointing at each ``src/``) and diff the two
@@ -104,8 +107,9 @@ def digest(path):
 
 
 def fingerprint(commands, src):
-    """Lines '<label> <file> <sha256>' and '<label> exit <code>' for each
-    command, run with the package under src."""
+    """Lines '<label> exit <code>', '<label> stdout <sha256>' and
+    '<label> <file> <sha256>' for each command, run with the package under
+    src."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     lines = []
     with tempfile.TemporaryDirectory(prefix="qutsparse-fingerprint-") as tmp:
@@ -115,8 +119,10 @@ def fingerprint(commands, src):
             out = tmp / label
             argv = [a.format(**inputs) for a in argv] + ["--output-dir", str(out)]
             proc = subprocess.run([sys.executable, "-m", "qutsparse.cli"] + argv, env=env,
-                                  cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                                  cwd=tmp, capture_output=True)
+            stdout = proc.stdout.replace(bytes(tmp), b"<tmp>")
             lines.append("%s exit %d" % (label, proc.returncode))
+            lines.append("%s stdout %s" % (label, hashlib.sha256(stdout).hexdigest()))
             if proc.returncode not in (0, 5):
                 sys.stderr.write(proc.stderr.decode())
             for path in sorted(out.glob("*")) if out.is_dir() else ():
