@@ -7,6 +7,7 @@ file is still written).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,10 +39,6 @@ class NumericalError(Exception):
 class UsageError(Exception):
     """An option value, from a flag or the config file, is out of range, or a
     config key names no option."""
-
-
-def _opt_float(v):
-    return None if v is None else float(v)
 
 
 def _timestamp():
@@ -290,18 +287,7 @@ def cmd_fit(args):
         "lambda_qut": float(res.lambda_qut),
         "status": res.status,
         "train_loss": float(res.train_loss),
-        "phases": [
-            {
-                "name": ph.name,
-                "lam": _opt_float(ph.lam),
-                "nu": _opt_float(ph.nu),
-                "iterations": int(ph.iterations),
-                "initial_cost": _opt_float(ph.initial_cost),
-                "final_cost": _opt_float(ph.final_cost),
-                "stop": ph.stop,
-            }
-            for ph in res.phases
-        ],
+        "phases": [dataclasses.asdict(ph) for ph in res.phases],
         "config": opts,
         "imputed_cells": ds.imputed,
         "dropped_columns": ds.dropped,

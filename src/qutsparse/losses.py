@@ -4,7 +4,8 @@ Regression uses the square root of the summed squared residuals rather
 than the sum itself.  That choice makes the ratio statistic behind the
 automatic regularization level independent of the noise scale, which is
 what lets one null quantile serve every dataset.  Classification uses
-the summed cross entropy with the softmax folded in.
+the summed cross entropy with the softmax folded in.  Both losses are
+defined once, in loss_and_grad; loss_value is its value half.
 """
 
 import math
@@ -40,15 +41,7 @@ def _check(task, pred, Y):
 
 def loss_value(task, pred, Y):
     """Scalar data-fit term. Sum convention over samples, no 1/n."""
-    pred = np.asarray(pred, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    _check(task, pred, Y)
-    if task.kind == "regression":
-        return float(np.linalg.norm(Y - pred))
-    # stabilized log-sum-exp; subtracting the row max leaves the value exact
-    m = np.max(pred, axis=1, keepdims=True)
-    logz = m[:, 0] + np.log(np.sum(np.exp(pred - m), axis=1))
-    return float(np.sum(logz) - np.sum(pred * Y))
+    return loss_and_grad(task, pred, Y)[0]
 
 
 def loss_and_grad(task, pred, Y):
@@ -71,6 +64,7 @@ def loss_and_grad(task, pred, Y):
         np.negative(R, out=R)
         R /= val
         return val, R
+    # stabilized log-sum-exp; subtracting the row max leaves the value exact
     m = np.max(pred, axis=1, keepdims=True)
     e = np.exp(pred - m)
     s = np.sum(e, axis=1, keepdims=True)

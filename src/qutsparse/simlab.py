@@ -54,11 +54,13 @@ class ScenarioSpec:
             raise ValueError("seed must be nonnegative")
 
 
-def _mu_star(kind, Xs):
+def _mu_star(kind, Xs, beta=None):
     """Noiseless response on the support columns (sorted order, paired
-    consecutively for absdiff)."""
+    consecutively for absdiff); beta holds the linear coefficients."""
     if Xs.shape[1] == 0:
         return np.zeros(Xs.shape[0])
+    if kind == "linear":
+        return Xs @ beta
     if kind == "absdiff":
         total = np.zeros(Xs.shape[0])
         for i in range(0, Xs.shape[1], 2):
@@ -90,20 +92,13 @@ def generate(spec, run_index):
     rng = np.random.default_rng(data_ss)
     X = rng.normal(size=(spec.n, spec.p))
     support = np.sort(rng.choice(spec.p, size=spec.s, replace=False)).astype(int)
+    beta = None
     if spec.kind == "linear" and spec.s > 0:
         beta = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=spec.s)
-        mu_train = X[:, support] @ beta
-    else:
-        beta = None
-        mu_train = _mu_star(spec.kind, X[:, support])
     e = rng.standard_normal(spec.n)
-    Y = (mu_train + e)[:, None]
+    Y = (_mu_star(spec.kind, X[:, support], beta) + e)[:, None]
     X_test = rng.normal(size=(spec.n_test, spec.p))
-    if spec.kind == "linear" and spec.s > 0:
-        mu_test = X_test[:, support] @ beta
-    else:
-        mu_test = _mu_star(spec.kind, X_test[:, support])
-    return X, Y, X_test, mu_test, support
+    return X, Y, X_test, _mu_star(spec.kind, X_test[:, support], beta), support
 
 
 def run_trial(spec, run_index, hidden=(), activation="relu", alpha=0.05, n_mc=1000):

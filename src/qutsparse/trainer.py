@@ -57,6 +57,9 @@ class TrainConfig:
 
 @dataclass
 class PhaseRecord:
+    """One phase of a fit.  Fields hold plain floats, ints, strings and
+    None only, so the record is written to model.json as it stands."""
+
     name: str
     lam: float
     nu: float
@@ -170,24 +173,25 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
 
 def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
     """Proximal gradient steps on the full penalized cost, with a monotone
-    backtracking line search shared by all blocks.  Each accepted
-    candidate's forward pass serves the next gradient.  Returns
+    backtracking line search shared by all blocks.  Each candidate is
+    priced once, loss and loss gradient together, so an accepted
+    candidate's pricing serves the next gradient.  Returns
     (params, PhaseRecord)."""
     spec = solve_threshold(lam, nu)
 
     def evaluate(p):
         pred, cache = network.forward_cached(p, arch, X)
-        cost = loss_value(task, pred, Y) + lam * float(penalty_value(p.w1, nu).sum())
-        return cost, pred, cache
+        ls, dpred = loss_and_grad(task, pred, Y)
+        cost = ls + lam * float(penalty_value(p.w1, nu).sum())
+        return cost, ls, dpred, cache
 
-    cur, pred, cache = evaluate(params)
+    cur, ls, dpred, cache = evaluate(params)
     g = params.like(np.empty_like(params.flat))
     initial = cur
     step = 1.0
     updates = 0
     stop = STOP_BUDGET
     for _ in range(cfg.max_phase_iters):
-        ls, dpred = loss_and_grad(task, pred, Y)
         if task.kind == "regression" and ls == 0.0:
             stop = STOP_PERFECT
             break
@@ -195,7 +199,7 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
         trial = step
         for k in range(31):
             cand = ista_step(params, g, spec, trial)
-            cand_cost, cand_pred, cand_cache = evaluate(cand)
+            cand_cost, cand_ls, cand_dpred, cand_cache = evaluate(cand)
             if cand_cost <= cur + 1e-12 * max(1.0, abs(cur)):
                 break
             trial *= 0.5
@@ -203,7 +207,7 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
             # no descent representable at float resolution
             stop = STOP_STALLED
             break
-        params, pred, cache = cand, cand_pred, cand_cache
+        params, ls, dpred, cache = cand, cand_ls, cand_dpred, cand_cache
         updates += 1
         improve = (cur - cand_cost) / max(1.0, cur)
         cur = cand_cost
@@ -249,6 +253,8 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         raise ValueError("output dimension mismatch")
     if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if not isinstance(cfg.max_phase_iters, (int, np.integer)) or cfg.max_phase_iters < 1:
+        raise ValueError("max_phase_iters must be an integer >= 1")
 
     if lambda_qut is None:
         est = compute_qut(X, Y, task, arch, alpha=cfg.alpha, n_mc=cfg.n_mc, seed=(int(cfg.seed), 1))

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ class TestFit:
                        "--output-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
 
-    @pytest.mark.parametrize("budget", [None, "3"])
+    @pytest.mark.parametrize("budget", [None, "3", "empty"])
     def test_model_records_each_phase_stop(self, tmp_path, monkeypatch, budget):
         results = []
 
@@ -253,14 +254,27 @@ class TestFit:
 
         monkeypatch.setattr(cli, "fit", recording_fit)
         train = tmp_path / "train.csv"
-        make_regression_csv(train, n=50, p=4, signal_col=1, seed=6)
-        argv = ["fit", str(train), "--target", "y", "--hidden", "5", "--n-mc", "100",
-                "--output-dir", str(tmp_path)]
-        main(argv + (["--max-phase-iters", budget] if budget else []))
+        if budget == "empty":
+            # a pure-noise target selects no feature, so the refit is skipped
+            rng = np.random.default_rng(11)
+            rows = [[repr(float(v)) for v in rng.normal(size=6)] for _ in range(50)]
+            write_csv_file(train, ["a", "b", "c", "d", "e", "y"], rows)
+            argv = ["fit", str(train), "--target", "y", "--hidden", "20", "--n-mc", "200"]
+        else:
+            make_regression_csv(train, n=50, p=4, signal_col=1, seed=6)
+            argv = ["fit", str(train), "--target", "y", "--hidden", "5", "--n-mc", "100"]
+            if budget is not None:
+                argv += ["--max-phase-iters", budget]
+        main(argv + ["--output-dir", str(tmp_path)])
         model = json.load(open(tmp_path / "model.json"))
+        assert model["phases"] == [asdict(ph) for ph in results[0].phases]
         stops = [ph.stop for ph in results[0].phases]
-        assert [ph["stop"] for ph in model["phases"]] == stops
-        assert (STOP_BUDGET in stops) == (budget is not None)
+        assert (STOP_BUDGET in stops) == (budget == "3")
+        if budget == "empty":
+            assert model["selected"] == []
+            assert model["phases"][-1] == {
+                "name": "refit", "lam": 0.0, "nu": None, "iterations": 0,
+                "initial_cost": None, "final_cost": None, "stop": "converged"}
 
     def test_config_file_defaults_and_override(self, tmp_path):
         train = tmp_path / "train.csv"

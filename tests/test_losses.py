@@ -82,6 +82,48 @@ class TestClassificationLoss:
         np.testing.assert_allclose(g, sm - Y, rtol=1e-12)
 
 
+def reference_loss(task, pred, Y):
+    """loss_value as a formula of its own: np.linalg.norm for regression,
+    a log-sum-exp over rows for classification."""
+    pred = np.asarray(pred, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if task.kind == "regression":
+        return float(np.linalg.norm(Y - pred))
+    m = np.max(pred, axis=1, keepdims=True)
+    logz = m[:, 0] + np.log(np.sum(np.exp(pred - m), axis=1))
+    return float(np.sum(logz) - np.sum(pred * Y))
+
+
+def _regression_case(k, zero):
+    rng = np.random.default_rng(40 + k)
+    Y = rng.normal(0, 3, (57, k))
+    return Y.copy() if zero else Y + rng.normal(0, 1, Y.shape), Y
+
+
+def _classification_case(k):
+    rng = np.random.default_rng(50 + k)
+    return rng.normal(0, 4, (61, k)), np.eye(k)[rng.integers(0, k, 61)]
+
+
+class TestOneLossDefinition:
+    """loss_value is the value half of loss_and_grad, and both give the
+    bits of the stand-alone formula."""
+
+    @pytest.mark.parametrize("task,pred,Y", [
+        (REG, *_regression_case(1, zero=False)),
+        (REG, *_regression_case(1, zero=True)),
+        (TaskSpec("regression", 3), *_regression_case(3, zero=False)),
+        (TaskSpec("regression", 3), *_regression_case(3, zero=True)),
+        (CLS2, *_classification_case(2)),
+        (TaskSpec("classification", 3), *_classification_case(3)),
+    ], ids=["reg", "reg-zero", "reg-3out", "reg-3out-zero", "cls2", "cls3"])
+    def test_bitwise_equal_to_reference(self, task, pred, Y):
+        want = reference_loss(task, pred, Y)
+        for got in (loss_value(task, pred, Y), loss_and_grad(task, pred, Y)[0]):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestNullConstant:
     def test_regression_mean(self):
         Y = np.array([[1.0], [2.0], [6.0]])

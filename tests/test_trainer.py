@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qutsparse import trainer
 from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant
 from qutsparse.network import Architecture, backward, forward, forward_cached, init_params
 from qutsparse.penalty import penalty_slope, penalty_value, prox, prox_vector, solve_threshold
@@ -236,6 +237,106 @@ class TestWholeLoopOracle:
             start = got
 
 
+def reference_final_phase(params, arch, X, Y, task, lam, nu, cfg):
+    """_final_phase pricing each candidate by loss_value and taking the
+    gradient of an accepted one by a second loss_and_grad call."""
+    spec = solve_threshold(lam, nu)
+
+    def evaluate(p):
+        pred, cache = forward_cached(p, arch, X)
+        cost = loss_value(task, pred, Y) + lam * float(penalty_value(p.w1, nu).sum())
+        return cost, pred, cache
+
+    cur, pred, cache = evaluate(params)
+    initial = cur
+    step = 1.0
+    updates = 0
+    stop = STOP_BUDGET
+    for _ in range(cfg.max_phase_iters):
+        ls, dpred = loss_and_grad(task, pred, Y)
+        if task.kind == "regression" and ls == 0.0:
+            stop = STOP_PERFECT
+            break
+        g = backward(params, arch, cache, dpred)
+        trial = step
+        for k in range(31):
+            cand = ista_step(params, g, spec, trial)
+            cand_cost, cand_pred, cand_cache = evaluate(cand)
+            if cand_cost <= cur + 1e-12 * max(1.0, abs(cur)):
+                break
+            trial *= 0.5
+        else:
+            stop = STOP_STALLED
+            break
+        params, pred, cache = cand, cand_pred, cand_cache
+        updates += 1
+        improve = (cur - cand_cost) / max(1.0, cur)
+        cur = cand_cost
+        step = min(2.0 * trial, 2.0 ** 20) if k == 0 else trial
+        if improve < FINAL_TOL:
+            stop = STOP_CONVERGED
+            break
+    return params, PhaseRecord("sparsify", lam, nu, updates, float(initial), float(cur), stop)
+
+
+def final_phase_problem(hidden, task, perfect=False):
+    rng = np.random.default_rng(61)
+    X = rng.normal(0, 1, (45, 7))
+    arch = Architecture(7, hidden, task.n_outputs, "relu")
+    params = init_params(arch, rng)
+    if perfect:
+        Y = forward(params, arch, X)
+    elif task.kind == "regression":
+        Y = (2.0 * X[:, 1] - X[:, 4] + 0.3 * rng.normal(0, 1, 45))[:, None]
+    else:
+        Y = np.eye(3)[np.digitize(X[:, 1] + 0.5 * rng.normal(0, 1, 45), [-0.5, 0.5])]
+    return params, arch, X, Y
+
+
+class TestFinalPhaseOracle:
+    @pytest.mark.parametrize("budget", [5000, 3])
+    @pytest.mark.parametrize("hidden", [(), (5,), (8, 4)])
+    @pytest.mark.parametrize("task", [REG, CLS3], ids=["reg", "cls"])
+    def test_equals_reference(self, hidden, task, budget):
+        params, arch, X, Y = final_phase_problem(hidden, task)
+        cfg = TrainConfig(max_phase_iters=budget)
+        got, rec = _final_phase(params.copy(), arch, X, Y, task, 1.5, 0.1, cfg)
+        want, ref = reference_final_phase(params.copy(), arch, X, Y, task, 1.5, 0.1, cfg)
+        assert rec == ref
+        assert (rec.stop == STOP_BUDGET) == (budget == 3)
+        np.testing.assert_array_equal(got.flat, want.flat)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (8, 4)])
+    def test_equals_reference_on_a_perfect_fit(self, hidden):
+        params, arch, X, Y = final_phase_problem(hidden, REG, perfect=True)
+        cfg = TrainConfig()
+        got, rec = _final_phase(params.copy(), arch, X, Y, REG, 1.5, 0.1, cfg)
+        want, ref = reference_final_phase(params.copy(), arch, X, Y, REG, 1.5, 0.1, cfg)
+        assert rec == ref and rec.stop == STOP_PERFECT
+        np.testing.assert_array_equal(got.flat, want.flat)
+
+    @pytest.mark.parametrize("task", [REG, CLS3], ids=["reg", "cls"])
+    def test_prices_each_point_once(self, monkeypatch, task):
+        calls = {"loss_and_grad": 0, "loss_value": 0, "ista_step": 0}
+
+        def counting(name):
+            orig = getattr(trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(trainer, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        params, arch, X, Y = final_phase_problem((5,), task)
+        _, rec = _final_phase(params, arch, X, Y, task, 1.5, 0.1, TrainConfig())
+        assert rec.iterations > 5
+        assert calls["ista_step"] > rec.iterations
+        assert calls["loss_and_grad"] == calls["ista_step"] + 1
+        assert calls["loss_value"] == 0
+
+
 class TestPhases:
     def test_warm_chaining_initial_cost(self):
         rng = np.random.default_rng(3)
@@ -446,6 +547,18 @@ class TestFit:
             fit(X, Y, REG, Architecture(25, (), 1), TrainConfig(seed=-1))
         with pytest.raises(ValueError):
             fit(X[:1], Y[:1], REG, Architecture(25, (), 1), TrainConfig(seed=0))
+
+    @pytest.mark.parametrize("budget", [-1, 0, 2.5])
+    def test_phase_budget_below_one_is_rejected(self, budget):
+        X, Y = self.make_linear()
+        with pytest.raises(ValueError, match="max_phase_iters"):
+            fit(X, Y, REG, Architecture(25, (), 1), TrainConfig(max_phase_iters=budget))
+
+    def test_phase_budget_of_one_runs(self):
+        X, Y = self.make_linear()
+        res = fit(X, Y, REG, Architecture(25, (), 1), TrainConfig(max_phase_iters=1))
+        assert res.status == STATUS_MAX_ITERS
+        assert all(ph.iterations <= 1 for ph in res.phases)
 
     def test_predict_uses_selected_columns(self):
         X, Y = self.make_linear()

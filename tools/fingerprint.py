@@ -46,6 +46,7 @@ COMMANDS = {
     "fit-20-10": ["fit", "{reg}", "--target", "y", "--hidden", "20,10"],
     "fit-3class": ["fit", "{cls}", "--target", "label", "--task", "classification",
                    "--hidden", "10"],
+    "predict-3class": ["predict", "fit-3class/model.json", "{cls_test}"],
     "qut-300x80": ["qut", "{wide}", "--target", "y", "--hidden", "20"],
     "predict-20": ["predict", "fit-20/model.json", "{reg_test}"],
     "fit-20-test": ["fit", "{reg}", "--target", "y", "--hidden", "20",
