@@ -17,16 +17,23 @@ np.loadtxt pass.  Every other file (missing tokens, ragged rows, quoted
 cells, '1_0', a missing target value, ...) is read cell by cell with the
 csv module and float(); that reader is the reference and raises every
 DataError.  Prediction and held-out files are always read cell by cell.
+
+The one-pass reader gives np.loadtxt the file's lines one at a time,
+sliced from the text as it goes, so its peak holds the text plus the
+table, about twice the file's size.  The cell reader holds one str per
+cell, several times the file's size.
 """
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MISSING_TOKENS = frozenset(["", "na", "nan", "null", "none"])
 CONSTANT_TOL = 1e-12
+_NON_SPACE = re.compile(r"\S")
 
 
 class DataError(Exception):
@@ -172,6 +179,16 @@ def _cell_table(text, path, target, has_header, task_kind):
     return names, t_idx, Y, labels, X
 
 
+def _lines(text, start):
+    """The lines of text from offset start on, each with its line end, as
+    io.StringIO would give them, sliced out one at a time: the body is never
+    copied whole."""
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _loadtxt_table(text, target, has_header, task_kind):
     """What _cell_table returns, from one np.loadtxt pass; None for a file
     that pass might read differently or that load_training rejects.
@@ -184,16 +201,18 @@ def _loadtxt_table(text, target, has_header, task_kind):
     """
     if '"' in text:
         return None
-    first, _, rest = text.partition("\n")
-    first = first.rstrip("\r")
+    eol = text.find("\n")
+    if eol < 0:
+        eol = len(text)
+    first = text[:eol].rstrip("\r")
     cells = [c.strip() for c in first.split(",")]
     if "\r" in first or not any(cells):
         return None
     if has_header:
-        names, body = cells, rest
+        names, start = cells, eol + 1
     else:
-        names, body = ["x%d" % j for j in range(len(cells))], text
-    if len(names) < 2 or not body.strip():
+        names, start = ["x%d" % j for j in range(len(cells))], 0
+    if len(names) < 2 or not _NON_SPACE.search(text, start):
         return None
     try:
         t_idx = _resolve_target(target, names, has_header, len(names))
@@ -209,7 +228,7 @@ def _loadtxt_table(text, target, has_header, task_kind):
 
         converters = {t_idx: code}
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+        table = np.loadtxt(_lines(text, start), delimiter=",", comments=None, ndmin=2,
                            converters=converters)
     except ValueError:
         return None
@@ -251,7 +270,8 @@ def load_training(path, target, has_header=True, task_kind="regression"):
     X = X.take(keep, axis=1)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    X = (X - mean) / std
+    X -= mean
+    X /= std
     return Dataset(
         X=X,
         Y=Y,

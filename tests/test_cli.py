@@ -1,8 +1,12 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -845,3 +849,34 @@ class TestNotUtf8:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "%s is not UTF-8 text" % latin in err, err
         assert not (out / "model.json").exists()
+
+
+# qut, fit, predict and a one-worker simulate in one fresh interpreter; it
+# prints their exit codes and which process-pool modules were loaded
+POOL_PROBE = """
+import json, sys
+from qutsparse.cli import main
+train, out = sys.argv[1:]
+runs = [["qut", train, "--target", "y", "--n-mc", "50", "--output-dir", out + "/qut"],
+        ["fit", train, "--target", "y", "--hidden", "none", "--n-mc", "50",
+         "--output-dir", out + "/fit"],
+        ["predict", out + "/fit/model.json", train, "--output-dir", out + "/predict"],
+        ["simulate", "linear", "--n", "30", "--p", "6", "--s", "0:1", "--runs", "1",
+         "--n-test", "20", "--n-mc", "50", "--jobs", "1", "--output-dir", out + "/sim"]]
+codes = [main(argv) for argv in runs]
+print(json.dumps([codes, sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+                                if m in sys.modules)]))
+"""
+
+
+def test_one_worker_commands_never_load_the_process_pool(tmp_path):
+    train = tmp_path / "train.csv"
+    make_regression_csv(train)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(train), str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4
+    assert loaded == []

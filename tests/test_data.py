@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,35 @@ def test_labels_stay_text_and_missing_targets_name_their_row(tmp_path):
     path.write_text(csv_text({(7, 3): "NA"}, target=LABELS))
     with pytest.raises(DataError, match=r"^column 'y', row 9: missing target value$"):
         load_training(str(path), "y", task_kind="classification")
+
+
+@pytest.mark.parametrize("task_kind", ["regression", "classification"])
+def test_one_pass_reader_peaks_below_three_times_the_file(tmp_path, monkeypatch, task_kind):
+    # the text plus the table is about 2x the file; a copy of the body, or
+    # the 4 bytes per character of an io.StringIO, would pass 3x
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(2500, 40))
+    if task_kind == "regression":
+        y = ["%.17g" % v for v in X[:, 0] + rng.normal(size=2500)]
+    else:
+        y = np.array(["a", "b", "c"])[np.digitize(X[:, 0], [-0.5, 0.5])]
+    path = tmp_path / "big.csv"
+    with open(path, "w") as fh:
+        fh.write(",".join(["x%d" % j for j in range(40)] + ["y"]) + "\n")
+        for row, target in zip(X, y):
+            fh.write(",".join("%.17g" % v for v in row) + "," + target + "\n")
+    size = path.stat().st_size
+    assert size > 2_000_000
+
+    def cell_reader(*args):
+        pytest.fail("the file was read cell by cell")
+
+    monkeypatch.setattr(data, "_cell_table", cell_reader)
+    tracemalloc.start()
+    try:
+        ds = load_training(str(path), "y", task_kind=task_kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.X.shape == (2500, 40)
+    assert peak < 3 * size, "peak %.2fx the file" % (peak / size)
