@@ -12,20 +12,19 @@ for classification.
 A training file is read in one of two ways, with the same Dataset or the
 same DataError either way.  A file whose cells are all numbers (nan and
 inf included) apart from the classification labels, with no quote
-character, no blank first line and LF or CRLF line ends, is parsed in one
-np.loadtxt pass.  Every other file (missing tokens, ragged rows, quoted
-cells, '1_0', a missing target value, ...) is read cell by cell with the
-csv module and float(); that reader is the reference and raises every
-DataError.  Prediction and held-out files are always read cell by cell.
+character and no blank first line, is parsed in one np.loadtxt pass.
+Every other file (missing tokens, ragged rows, quoted cells, '1_0', a
+missing target value, ...) is read cell by cell with the csv module and
+float(); that reader is the reference and raises every DataError.
+Prediction and held-out files are always read cell by cell.
 
-The one-pass reader gives np.loadtxt the file's lines one at a time,
-sliced from the text as it goes, so its peak holds the text plus the
-table, about twice the file's size.  The cell reader holds one str per
-cell, several times the file's size.
+Both readers take the lines from _lines, one rule for LF, CRLF and lone
+CR ends that slices them from the text one at a time.  At its peak the
+one-pass reader holds the text plus the table, about twice the file's
+size; the cell reader holds one str per cell, about five times.
 """
 
 import csv
-import io
 import re
 from dataclasses import dataclass, field
 
@@ -69,7 +68,7 @@ def _read_text(path):
 def _rows(text, path):
     """All rows of CSV text as lists of stripped strings; rows with no
     non-empty cell are skipped."""
-    rows = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text, newline=""))]
+    rows = [[cell.strip() for cell in row] for row in csv.reader(_lines(text))]
     rows = [r for r in rows if r and any(c != "" for c in r)]
     if not rows:
         raise DataError("%s: no rows" % path)
@@ -179,12 +178,16 @@ def _cell_table(text, path, target, has_header, task_kind):
     return names, t_idx, Y, labels, X
 
 
-def _lines(text, start):
-    """The lines of text from offset start on, each with its line end, as
-    io.StringIO would give them, sliced out one at a time: the body is never
-    copied whole."""
+def _lines(text, start=0):
+    """The lines of text from offset start on, each with its line end (LF,
+    CRLF or a lone CR), as io.StringIO(text, newline="") and the csv module
+    split them, sliced out one at a time: the text is never copied whole."""
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
+        # a CR before the line's last character ends it, unless an LF follows
+        cr = text.find("\r", start, end - 1)
+        if cr >= 0 and text[cr + 1] != "\n":
+            end = cr + 1
         yield text[start:end]
         start = end
 
@@ -193,23 +196,20 @@ def _loadtxt_table(text, target, has_header, task_kind):
     """What _cell_table returns, from one np.loadtxt pass; None for a file
     that pass might read differently or that load_training rejects.
 
-    That is a file with a quote character, a blank first line or a line
-    end other than LF and CRLF, a cell float() takes and loadtxt does not
-    (a missing token, '1_0'), ragged rows, no data rows, a target that does
-    not name a column, or a missing target value.  Classification labels are coded by a
-    converter and stay text, so '1' and '1.0' are two labels.
+    That is a file with a quote character, a blank first line, a cell
+    float() takes and loadtxt does not (a missing token, '1_0'), ragged
+    rows, no data rows, a target that does not name a column, or a missing
+    target value.  Classification labels are coded by a converter and stay
+    text, so '1' and '1.0' are two labels.
     """
     if '"' in text:
         return None
-    eol = text.find("\n")
-    if eol < 0:
-        eol = len(text)
-    first = text[:eol].rstrip("\r")
+    first = next(_lines(text), "")
     cells = [c.strip() for c in first.split(",")]
-    if "\r" in first or not any(cells):
+    if not any(cells):
         return None
     if has_header:
-        names, start = cells, eol + 1
+        names, start = cells, len(first)
     else:
         names, start = ["x%d" % j for j in range(len(cells))], 0
     if len(names) < 2 or not _NON_SPACE.search(text, start):

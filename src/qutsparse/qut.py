@@ -88,19 +88,25 @@ def null_statistic(X, Y, task, arch):
     return float(_block_statistics(X, Y[:, None, :], task, arch)[0])
 
 
-def _class_probs(task, Y):
-    """Class probabilities of the classification null: Y's proportions."""
+def _class_cdf(task, Y):
+    """Cumulative class probabilities of the classification null, from Y's
+    proportions, built as Generator.choice builds them from p."""
     if task.kind == "regression":
         return None
     p = np.mean(Y, axis=0)
-    return p / np.sum(p)
+    cdf = np.cumsum(p / np.sum(p))
+    cdf /= cdf[-1]
+    return cdf
 
 
-def _draw(task, shape, p, rng):
+def _draw(task, shape, cdf, rng):
+    """One null response of the given shape from rng.  A classification
+    draw takes the class indices rng.choice(m, size=n, p=p) gives, by the
+    search choice runs inside it, without its per-call checks."""
     n, m = shape
     if task.kind == "regression":
         return rng.standard_normal((n, m))
-    idx = rng.choice(m, size=n, p=p)
+    idx = cdf.searchsorted(rng.random(n), side="right")
     return np.eye(m)[idx]
 
 
@@ -109,12 +115,13 @@ def sample_null(task, Y, rng):
     one-hot rows with class probabilities from Y's proportions for
     classification.
 
-    compute_qut draws whole blocks instead; this per-draw form stays as the
+    compute_qut draws whole blocks instead; this per-draw form is the
     reference that test_samples_bitwise_equal_block_reference holds those
-    blocks to, bit for bit.
+    blocks to, bit for bit, and test_class_draws_equal_rng_choice holds
+    its classification draws to rng.choice.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    return _draw(task, Y.shape, _class_probs(task, Y), rng)
+    return _draw(task, Y.shape, _class_cdf(task, Y), rng)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -230,7 +237,7 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
         Y = Y[:, None]
     entropy = np.random.SeedSequence(seed).entropy
     states = _child_states(entropy, n_mc)
-    p = _class_probs(task, Y)
+    cdf = _class_cdf(task, Y)
     child_seed = _child_seed_type()
     samples = np.empty(n_mc)
     for a in range(0, n_mc, BLOCK):
@@ -238,7 +245,7 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
         Y0 = np.empty((Y.shape[0], len(block), Y.shape[1]))
         for i, state in enumerate(block):
             rng = np.random.Generator(np.random.PCG64(child_seed(state)))
-            Y0[:, i, :] = _draw(task, Y.shape, p, rng)
+            Y0[:, i, :] = _draw(task, Y.shape, cdf, rng)
         samples[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
     k = ceil((1.0 - alpha) * n_mc)
     lam = float(np.sort(samples)[k - 1])

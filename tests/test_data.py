@@ -1,3 +1,6 @@
+import csv
+import io
+import random
 import tracemalloc
 
 import numpy as np
@@ -98,7 +101,10 @@ INGESTION_CASES = [
     ("quoted number", csv_text({(3, 1): '"2.5"'}), {}, False),
     ("quoted header and label", csv_text(target=['"red"', "green"], header=['"a"', "b", "c", "y"]),
      CLASSIFY, False),
-    ("cr line ends", csv_text(end="\r"), {}, False),
+    ("cr line ends", csv_text(end="\r"), {}, True),
+    ("mixed line ends", with_line("".join(line + ("\r", "\r\n", "\n")[k % 3] for k, line
+                                          in enumerate(csv_text().splitlines())), 4, "\r"),
+     {}, True),
     ("ragged row", csv_text({(5, 2): "1,2"}), {}, False),
     ("header wider than the rows", csv_text(header=HEADER + ["z"]), {}, False),
     ("header only", "a,b,c,y\n", {}, False),
@@ -154,33 +160,85 @@ def test_labels_stay_text_and_missing_targets_name_their_row(tmp_path):
         load_training(str(path), "y", task_kind="classification")
 
 
-@pytest.mark.parametrize("task_kind", ["regression", "classification"])
-def test_one_pass_reader_peaks_below_three_times_the_file(tmp_path, monkeypatch, task_kind):
-    # the text plus the table is about 2x the file; a copy of the body, or
-    # the 4 bytes per character of an io.StringIO, would pass 3x
+def write_big(path, task_kind="regression", na_cell=False):
+    """A 2500-row CSV of x0..x39 and y, over 2 MB; ``na_cell`` puts one NA
+    in x1, which sends load_training to the cell reader."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(2500, 40))
     if task_kind == "regression":
         y = ["%.17g" % v for v in X[:, 0] + rng.normal(size=2500)]
     else:
         y = np.array(["a", "b", "c"])[np.digitize(X[:, 0], [-0.5, 0.5])]
-    path = tmp_path / "big.csv"
     with open(path, "w") as fh:
         fh.write(",".join(["x%d" % j for j in range(40)] + ["y"]) + "\n")
-        for row, target in zip(X, y):
-            fh.write(",".join("%.17g" % v for v in row) + "," + target + "\n")
+        for i, (row, target) in enumerate(zip(X, y)):
+            cells = ["%.17g" % v for v in row] + [target]
+            if na_cell and i == 7:
+                cells[1] = "NA"
+            fh.write(",".join(cells) + "\n")
     size = path.stat().st_size
     assert size > 2_000_000
+    return size
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("task_kind", ["regression", "classification"])
+def test_one_pass_reader_peaks_below_three_times_the_file(tmp_path, monkeypatch, task_kind):
+    # the text plus the table is about 2x the file; a copy of the body, or
+    # the 4 bytes per character of an io.StringIO, would pass 3x
+    path = tmp_path / "big.csv"
+    size = write_big(path, task_kind)
 
     def cell_reader(*args):
         pytest.fail("the file was read cell by cell")
 
     monkeypatch.setattr(data, "_cell_table", cell_reader)
-    tracemalloc.start()
-    try:
-        ds = load_training(str(path), "y", task_kind=task_kind)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ds, peak = traced_peak(lambda: load_training(str(path), "y", task_kind=task_kind))
     assert ds.X.shape == (2500, 40)
     assert peak < 3 * size, "peak %.2fx the file" % (peak / size)
+
+
+@pytest.mark.parametrize("reader", ["ScoringFile", "load_training fallback"])
+def test_cell_reader_peaks_below_six_times_the_file(tmp_path, reader):
+    # the text and one str per cell stay near 5x the file; a whole copy of
+    # the text in an io.StringIO, at 4 bytes per character, passes 6x
+    path = tmp_path / "big.csv"
+    size = write_big(path, na_cell=True)
+    if reader == "ScoringFile":
+        out, peak = traced_peak(lambda: data.ScoringFile(str(path), target="y"))
+        assert len(out.rows) == 2500
+    else:
+        out, peak = traced_peak(lambda: load_training(str(path), "y"))
+        assert out.X.shape == (2500, 40) and out.imputed == 1
+    assert peak < 6 * size, "peak %.2fx the file" % (peak / size)
+
+
+def csv_outcome(lines):
+    """The rows csv.reader makes of lines, or its error message."""
+    try:
+        return list(csv.reader(lines))
+    except csv.Error as exc:
+        return "csv.Error: %s" % exc
+
+
+def test_lines_split_as_stringio_and_csv_do():
+    # io.StringIO(text, newline="") is the line rule csv.reader is
+    # documented against; _lines must cut every text where it does
+    rng = random.Random(20)
+    tokens = ["a", ",", "1", " ", '"', "\r", "\n", "\r\n"]
+    for _ in range(10_000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randrange(25)))
+        want = list(io.StringIO(text, newline=""))
+        assert list(data._lines(text)) == want, repr(text)
+        assert csv_outcome(data._lines(text)) == csv_outcome(want), repr(text)
+    text = "x\r\ny\rz\n\r\r\nw"
+    assert list(data._lines(text, 3)) == ["y\r", "z\n", "\r", "\r\n", "w"]

@@ -104,6 +104,23 @@ class TestSampleNull:
         b = sample_null(REG, Y, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    def test_class_draws_equal_rng_choice(self):
+        # the class draw runs the search inside Generator.choice; its
+        # indices must stay those of rng.choice, including for a class of
+        # near-zero probability
+        gen = np.random.default_rng(13)
+        for seed in range(400):
+            m = int(gen.integers(2, 7))
+            p = gen.dirichlet(np.ones(m))
+            if seed % 3 == 0:
+                p[gen.integers(m)] = 1e-12
+            n = int(gen.integers(1, 300))
+            Y = np.tile(p, (n, 1))
+            q = Y.mean(axis=0)
+            want = np.random.default_rng(seed).choice(m, size=n, p=q / q.sum())
+            got = sample_null(TaskSpec("classification", m), Y, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, np.eye(m)[want])
+
 
 class TestComputeQut:
     def test_deterministic_and_matches_per_draw_reference(self):

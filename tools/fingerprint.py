@@ -36,8 +36,8 @@ VOLATILE = ("created_at", "wall_time_s")
 README_GRID = ["simulate", "linear", "--n", "70", "--p", "250", "--s", "0:25", "--runs", "2"]
 
 # label -> argv, run in this order from the parent of the output
-# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test} and {crlf} name
-# the generated CSVs
+# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf} and {cr}
+# name the generated CSVs
 COMMANDS = {
     "grid-jobs1": README_GRID + ["--jobs", "1"],
     "grid-jobs2": README_GRID + ["--jobs", "2"],
@@ -54,23 +54,28 @@ COMMANDS = {
     "fit-3class-test": ["fit", "{cls}", "--target", "label", "--task", "classification",
                         "--hidden", "10", "--test-file", "{cls_test}"],
     "qut-crlf-noheader": ["qut", "{crlf}", "--no-header", "--target", "3", "--hidden", "10"],
+    "fit-cr": ["fit", "{cr}", "--target", "y", "--hidden", "none"],
+    "qut-3class": ["qut", "{cls}", "--target", "label", "--task", "classification",
+                   "--hidden", "10"],
 }
 
 
-def _write_csv(path, X, y, target):
+def _write_csv(path, X, y, target, end="\n"):
     names = ["x%d" % j for j in range(X.shape[1])] + [target]
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(names) + end)
         for row, label in zip(X, y):
-            fh.write(",".join(repr(float(v)) for v in row) + "," + str(label) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "," + str(label) + end)
 
 
 def write_inputs(directory):
     """The input CSVs, from fixed seeds: a 60x6 regression file, a 150x10
     3-class file, a 300x80 regression file, held-out files of 40 and 60
-    rows drawn as the first two are, and an 80x6 regression file with no
+    rows drawn as the first two are, an 80x6 regression file with no
     header, the target in column 3, CRLF line ends and none after the last
-    row."""
+    row, and a 50x5 regression file with lone-CR line ends.  Each file is
+    drawn after the ones before it, so adding one leaves their bytes as
+    they were."""
     rng = np.random.default_rng(20241117)
     X = rng.normal(size=(60, 6))
     _write_csv(directory / "reg.csv", X, 2.0 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=60), "y")
@@ -90,8 +95,11 @@ def write_inputs(directory):
     table = np.insert(X, 3, 1.5 * X[:, 4] - X[:, 0] + rng.normal(size=80), axis=1)
     with open(directory / "crlf.csv", "w", newline="") as fh:
         fh.write("\r\n".join(",".join(repr(float(v)) for v in row) for row in table))
+    X = rng.normal(size=(50, 5))
+    _write_csv(directory / "cr.csv", X, X[:, 1] - 0.5 * X[:, 4] + 0.3 * rng.normal(size=50), "y",
+               end="\r")
     return {name: directory / ("%s.csv" % name)
-            for name in ("reg", "cls", "wide", "reg_test", "cls_test", "crlf")}
+            for name in ("reg", "cls", "wide", "reg_test", "cls_test", "crlf", "cr")}
 
 
 def _strip(value):
