@@ -24,7 +24,7 @@ import numpy as np
 @dataclass(frozen=True)
 class PenaltySpec:
     """Regularization level, shape parameter, and the derived thresholding
-    constants.  Immutable so specs can be shared across workers."""
+    constants."""
 
     lam: float
     nu: float

@@ -22,8 +22,8 @@ def test_tiny_grid_fingerprint_repeats():
     assert [line.split()[1] for line in first[1:]] == [
         "stdout", "sweep.csv", "sweep_manifest.json", "sweep_records.jsonl"]
     assert all(re.fullmatch(r"tiny \S+ [0-9a-f]{64}", line) for line in first[1:])
-    # wall_time_s, created_at, the record order and the temporary directory
-    # named in stdout change from run to run
+    # wall_time_s, created_at and the temporary directory named in stdout
+    # change from run to run
     assert fp.fingerprint(tiny, ROOT / "src") == first
 
 

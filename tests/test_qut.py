@@ -226,7 +226,9 @@ class TestNullDrawStream:
     """Draw i of compute_qut(..., n_mc, seed) comes from
     default_rng(SeedSequence(seed).spawn(n_mc)[i]), bit for bit."""
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, (0, 1), (2**32 - 1, 1), np.int64(7)]
+    # the last four have more entropy words than SeedSequence's pool of 4
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, (0, 1), (2**32 - 1, 1), np.int64(7),
+             2**200, (1, 2, 3, 4, 5), (2**64, 2**64, 3), [0] * 9]
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 1000])
     @pytest.mark.parametrize("seed", SEEDS + [None], ids=repr)

@@ -425,6 +425,19 @@ class TestPhases:
         assert rec.stop == STOP_PERFECT and rec.iterations == 0
         assert out is params
 
+    def test_final_phase_stops_when_no_step_descends(self):
+        # features scaled by 1e10: even the smallest trial step of the
+        # line search overshoots (at 1e8 the phase still converges)
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (30, 5)) * 1e10
+        Y = rng.normal(0, 1, (30, 1))
+        arch = Architecture(5, (), 1)
+        params = init_params(arch, rng)
+        out, rec = _final_phase(params.copy(), arch, X, Y, REG, 0.5, 0.1, TrainConfig(seed=0))
+        assert rec.stop == STOP_STALLED and rec.iterations == 0
+        assert rec.initial_cost == rec.final_cost
+        np.testing.assert_array_equal(out.flat, params.flat)
+
 
 class TestStatus:
     @staticmethod

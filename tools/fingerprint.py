@@ -11,9 +11,10 @@ its content, plus one line with the exit code and one with the sha256 of
 the command's standard output (the fit report, the held-out score, the
 sweep table), in which the temporary directory's path is replaced by a
 fixed token.  Fields that differ on every run are left out of the hash:
-``created_at`` and ``wall_time_s`` in JSON files, and the line order of
-``sweep_records.jsonl``, which parallel workers append in completion
-order.
+``created_at`` and ``wall_time_s`` in JSON files.  The lines of
+``sweep_records.jsonl`` are hashed in sorted order: a sweep writes them in
+trial order at any ``--jobs``, but ``--resume`` appends the fresh records
+after the kept ones.
 
 To show that a change leaves every output as it was, run the script on
 both checkouts (``--src`` pointing at each ``src/``) and diff the two
@@ -34,6 +35,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 VOLATILE = ("created_at", "wall_time_s")
 README_GRID = ["simulate", "linear", "--n", "70", "--p", "250", "--s", "0:25", "--runs", "2"]
+ABSDIFF_GRID = ["simulate", "absdiff", "--n", "100", "--p", "10", "--s", "0:2:4", "--hidden", "10",
+                "--runs", "2"]
 
 # label -> argv, run in this order from the parent of the output
 # directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf} and {cr}
@@ -57,6 +60,8 @@ COMMANDS = {
     "fit-cr": ["fit", "{cr}", "--target", "y", "--hidden", "none"],
     "qut-3class": ["qut", "{cls}", "--target", "label", "--task", "classification",
                    "--hidden", "10"],
+    "absdiff-jobs1": ABSDIFF_GRID + ["--jobs", "1"],
+    "absdiff-jobs2": ABSDIFF_GRID + ["--jobs", "2"],
 }
 
 
