@@ -20,7 +20,7 @@ from .data import DataError, ScoringFile, load_training
 from .losses import TaskSpec
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
-from .simlab import CSV_COLUMNS, SCENARIO_KINDS, ScenarioSpec, sweep, write_csv
+from .simlab import CSV_COLUMNS, SCENARIO_KINDS, ScenarioSpec, read_records, sweep, write_csv
 from .trainer import STATUS_MAX_ITERS, TrainConfig, fit
 
 FORMAT_VERSION = 1
@@ -161,7 +161,9 @@ OPTIONS = {
     "max_phase_iters": _count(5000, "iteration budget of each training phase"),
     "runs": _count(25, "trials per grid point"),
     "n_test": _count(1000, "test rows per trial"),
-    "jobs": _count(os.cpu_count() or 1, "worker processes"),
+    # the cores this process may use; os.cpu_count() counts the whole machine's
+    "jobs": _count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1, "worker processes"),
 }
 
 _QUT_OPTIONS = ("seed", "task", "hidden", "activation", "alpha", "n_mc")
@@ -430,13 +432,14 @@ def cmd_simulate(args):
         _check_resume(manifest_path, manifest)
     records_path = _out_path(args, "sweep_records.jsonl")
     t0 = time.monotonic()
+    done = read_records(records_path) if args.resume else None
+    # the trial identity is on disk before the first trial, for --resume
+    _write_json(manifest_path, manifest)
     rows, _records = sweep(
         args.kind, n, p, args.s,
         hidden=opts["hidden"], activation=opts["activation"], n_runs=n_runs,
         n_test=opts["n_test"], seed=opts["seed"], alpha=opts["alpha"], n_mc=opts["n_mc"],
-        jobs=opts["jobs"], records_path=records_path, resume=args.resume,
-        # the trial identity is on disk before the first trial, for --resume
-        on_start=lambda: _write_json(manifest_path, manifest),
+        jobs=opts["jobs"], records_path=records_path, done=done,
     )
     wall = time.monotonic() - t0
 
@@ -530,10 +533,7 @@ def main(argv=None):
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
-        print("numerical error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,8 +20,9 @@ Prediction and held-out files are always read cell by cell.
 
 Both readers take the lines from _lines, one rule for LF, CRLF and lone
 CR ends that slices them from the text one at a time.  At its peak the
-one-pass reader holds the text plus the table, about twice the file's
-size; the cell reader holds one str per cell, about five times.
+one-pass reader holds the text plus the table, about 1.4 times the file's
+size, and load_training lets the text go once the table is parsed; the
+cell reader holds one str per cell, about five times.
 """
 
 import csv
@@ -253,6 +254,7 @@ def load_training(path, target, has_header=True, task_kind="regression"):
     text = _read_text(path)
     names, t_idx, Y, labels, X = (_loadtxt_table(text, target, has_header, task_kind)
                                   or _cell_table(text, path, target, has_header, task_kind))
+    del text
     feat_idx = [j for j in range(len(names)) if j != t_idx]
     n_rows = X.shape[0]
     miss = np.isnan(X)

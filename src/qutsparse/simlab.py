@@ -6,8 +6,9 @@ over a sparsity grid, and aggregates exact-support recovery, false
 discovery, true positive rate, and test error.  Every trial derives its
 own seed from (base seed, s, run index), so any cell can be recomputed
 in isolation and results are identical for any parallelism degree or
-resume boundary.  Sweeps append one JSON line per finished trial and
-rebuild the summary CSV from the sorted record set.
+resume boundary.  Sweeps write one JSON line per finished trial, after
+the records a resuming caller read with read_records, and rebuild the
+summary CSV from the sorted record set.
 """
 
 import json
@@ -196,7 +197,7 @@ def _record_key(rec):
     return (rec["s"], rec["run"])
 
 
-def _read_records(path):
+def read_records(path):
     """The trial records of an earlier run's records file, keyed by (s, run).
 
     A last line without its newline, as a run killed mid-write leaves it,
@@ -225,23 +226,20 @@ def _read_records(path):
 
 def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
           n_test=1000, seed=0, alpha=0.05, n_mc=1000, jobs=1,
-          records_path=None, resume=False, on_start=None):
-    """Run the full grid and return (rows, records).
+          records_path=None, done=None):
+    """Run the grid's cells and return (rows, records).
 
-    With a records_path the sweep appends one JSON line per finished
-    trial and, on resume, skips any (s, run) cell already present.
-    on_start, when given, is called once the earlier records are read and
-    checked, before any trial starts or any record is written.  The
-    summary rows are always rebuilt from the sorted records of this grid,
-    so the CSV is byte-identical for any jobs value or resume split.
+    done holds the records to keep, keyed by (s, run), as read_records
+    returns them: the sweep runs only the other cells and appends their
+    records to records_path, which it starts afresh when done is None.
+    The summary rows are always rebuilt from the sorted records of this
+    grid, so the CSV is byte-identical for any jobs value or resume split.
     """
     s_grid = sorted(set(int(s) for s in s_grid))
     specs = [ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test, n_runs=n_runs, seed=seed)
              for s in s_grid]
-
-    done = _read_records(records_path) if records_path is not None and resume else {}
-    if on_start is not None:
-        on_start()
+    mode = "w" if done is None else "a"
+    done = done or {}
     grid = [(spec, run) for spec in specs for run in range(n_runs)]
     kept = [done[spec.s, run] for spec, run in grid if (spec.s, run) in done]
     cells = [(spec, run) for spec, run in grid if (spec.s, run) not in done]
@@ -252,7 +250,7 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
     with ExitStack() as stack:
         sink = None
         if records_path is not None:
-            sink = stack.enter_context(open(records_path, "a" if resume else "w"))
+            sink = stack.enter_context(open(records_path, mode))
         mapper = map
         if jobs > 1 and cells:
             # imported only here: concurrent.futures.process loads multiprocessing,

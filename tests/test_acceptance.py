@@ -200,11 +200,11 @@ def test_scale_shift_invariance():
            "relative deviation %.3g over 50 affine maps (tol 1e-12)" % worst)
 
 
-def test_null_calibration():
+def _empty_support_fraction(hidden):
     # pure noise, alpha = 0.05: the fitted support should be empty for
     # about 95% of datasets
     n, p = 50, 100
-    arch = Architecture(p, (20,), 1, "relu")
+    arch = Architecture(p, hidden, 1, "relu")
     n_rep = 200
     empty = 0
     for seed in range(n_rep):
@@ -214,11 +214,23 @@ def test_null_calibration():
         Xs = (X - X.mean(axis=0)) / X.std(axis=0)
         res = fit(Xs, Y, REG, arch, TrainConfig(seed=seed))
         empty += res.selected.size == 0
-    frac = empty / n_rep
-    ok = 0.91 <= frac <= 0.99
-    report("null-calibration", ok,
-           "empty-support fraction %.3f over %d noise fits (target"
-           " 0.95 +/- 0.04)" % (frac, n_rep))
+    return empty / n_rep
+
+
+def test_null_calibration():
+    frac = _empty_support_fraction((20,))
+    report("null-calibration", 0.91 <= frac <= 0.99,
+           "empty-support fraction %.3f over 200 noise fits (target"
+           " 0.95 +/- 0.04)" % frac)
+
+
+def test_null_calibration_linear():
+    # the linear model, cheap enough for every run; the README has the
+    # other model classes' fractions
+    frac = _empty_support_fraction(())
+    report("null-calibration-linear", 0.91 <= frac <= 0.99,
+           "empty-support fraction %.3f over 200 linear noise fits (target"
+           " 0.95 +/- 0.04)" % frac)
 
 
 @pytest.fixture(scope="module")

@@ -673,6 +673,17 @@ class TestOptionTable:
         out = json.loads(out_file.read_text())
         assert (out["n_mc"], out["seed"]) == (60, 2)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_jobs_default_is_the_cores_this_process_may_use(self):
+        assert cli.OPTIONS["jobs"].default == len(os.sched_getaffinity(0))
+        # a child held to one core defaults to one worker, whatever the machine has
+        probe = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                 "from qutsparse import cli; print(cli.OPTIONS['jobs'].default)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
     def test_message_text(self, tmp_path, capsys):
         argv, _ = command_argv("qut", tmp_path)
         assert main(argv + ["--alpha", "2"]) == EXIT_USAGE

@@ -12,6 +12,7 @@ from qutsparse.simlab import (
     aggregate,
     generate,
     metrics,
+    read_records,
     run_trial,
     sweep,
     write_csv,
@@ -211,7 +212,7 @@ class TestTrials:
             fh.write(json.dumps(records_full[0], sort_keys=True) + "\n")
         rows_resumed, records_resumed = sweep(
             "linear", 40, 8, [0, 1], n_runs=2, n_test=50, seed=0, n_mc=50,
-            records_path=str(rec_path), resume=True,
+            records_path=str(rec_path), done=read_records(rec_path),
         )
         assert rows_resumed == rows_full
         assert records_resumed == records_full
