@@ -344,6 +344,34 @@ def _softmax(pred):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _is_feature(entry):
+    """Whether entry is a selected-feature object as fit writes it."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and type(entry.get("index")) is int and entry["index"] >= 0
+            and all(type(entry.get(k)) in (int, float) for k in ("mean", "std")))
+
+
+def _check_model(path, model, arch):
+    """DataError unless the model's task, selected features and labels are
+    well formed and agree with its network's input and output widths."""
+    if model["task"] not in TASKS:
+        raise DataError("model %s: task must be regression or classification, got %r"
+                        % (path, model["task"]))
+    selected = model["selected"]
+    if not isinstance(selected, list) or not all(map(_is_feature, selected)):
+        raise DataError("model %s: selected must be a list of objects with a str name, "
+                        "an int index >= 0 and a numeric mean and std" % path)
+    if len(selected) != arch.input_dim:
+        raise DataError("model %s: %d selected features for a network of %d inputs"
+                        % (path, len(selected), arch.input_dim))
+    labels = model.get("labels")
+    if model["task"] == "classification" and not (
+            isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
+            and len(labels) == arch.output_dim):
+        raise DataError("model %s: labels must be a list of %d strings, one per network "
+                        "output" % (path, arch.output_dim))
+
+
 def cmd_predict(args):
     model = _read_json(args.model, "model")
     if model.get("format_version") != FORMAT_VERSION:
@@ -358,6 +386,7 @@ def cmd_predict(args):
         params, arch = params_from_dict(model["network"])
     except (TypeError, ValueError) as exc:
         raise DataError("model %s: bad network: %s" % (args.model, exc)) from exc
+    _check_model(args.model, model, arch)
     X, imputed = ScoringFile(args.data, has_header=not args.no_header).columns(model["selected"])
     if imputed:
         print("imputed %d missing cells with stored means" % imputed, file=sys.stderr)

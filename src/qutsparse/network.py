@@ -17,9 +17,10 @@ unnormalized as always, maps the inputs straight to the outputs.
 All parameters live in one contiguous float64 vector, ``NetworkParams.flat``:
 w1, then the deep matrices from layer 2 up, then the hidden biases, then
 the output intercept, each block row-major.  The block attributes are
-views into that vector, and backward() returns its gradient in the same
-layout: in a new vector, or written in place into ``out=``, a gradient
-buffer that a training phase allocates once and reuses for every update.
+views into that vector, written in place; rebinding one raises.
+backward() returns its gradient in the same layout: in a new vector, or
+written in place into ``out=``, a gradient buffer that a training phase
+allocates once and reuses for every update.
 So an optimizer step, a parameter copy or a gradient step is one array
 operation, and only the prox touches a single block, the w1 slice.
 """
@@ -60,28 +61,6 @@ class Architecture:
         return (self.input_dim,) + self.hidden + (self.output_dim,)
 
 
-class _Views(list):
-    """Block views into a parameter buffer; assigning an element writes
-    into the buffer instead of replacing the view."""
-
-    def __setitem__(self, i, value):
-        self[i][...] = value
-
-
-def _block(name):
-    """A block attribute that reads its view and writes through it."""
-
-    def put(self, value):
-        view = self.__dict__[name]
-        if isinstance(view, _Views):
-            for v, b in zip(view, value, strict=True):
-                v[...] = b
-        else:
-            view[...] = value
-
-    return property(lambda self: self.__dict__[name], put)
-
-
 class NetworkParams:
     """w1 is the penalized first matrix (first hidden width x input_dim, or
     output_dim x input_dim for the linear model).  deep holds the stored
@@ -89,42 +68,36 @@ class NetworkParams:
     intercept the output offset.
 
     The blocks are packed into the one vector ``flat`` in the order w1,
-    deep, biases, intercept, and the attributes are views into it.
-    Assigning to an attribute, or to an element of deep or biases, writes
-    into ``flat``."""
+    deep, biases, intercept; w1 and intercept are views into it, deep and
+    biases tuples of views.  A block is written in place
+    (``params.w1[...] = v``, ``params.flat += d``); rebinding an attribute
+    raises AttributeError, and assigning an element of deep or biases
+    raises TypeError."""
 
-    w1 = _block("w1")
-    deep = _block("deep")
-    biases = _block("biases")
-    intercept = _block("intercept")
-
-    def __init__(self, w1, deep=(), biases=(), intercept=None):
-        w1 = np.asarray(w1, dtype=np.float64)
-        if intercept is None:
-            intercept = np.zeros((deep[-1] if len(deep) else w1).shape[0])
-        blocks = [w1] + [np.asarray(b, dtype=np.float64) for b in (*deep, *biases, intercept)]
+    def __init__(self, w1, deep=(), biases=(), *, intercept):
+        blocks = [np.asarray(b, dtype=np.float64) for b in (w1, *deep, *biases, intercept)]
         layout, k = [], 0
         for b in blocks:
             layout.append((k, k + b.size, b.shape))
             k += b.size
-        self._layout = tuple(layout)
-        self._bind(np.concatenate([b.ravel() for b in blocks]))
+        self._bind(tuple(layout), np.concatenate([b.ravel() for b in blocks]))
 
-    def _bind(self, flat):
-        views = [flat[a:b].reshape(shape) for a, b, shape in self._layout]
+    def _bind(self, layout, flat):
+        views = [flat[a:b].reshape(shape) for a, b, shape in layout]
         n = (len(views) - 2) // 2
-        d = self.__dict__
-        d["flat"] = flat
-        d["w1"] = views[0]
-        d["deep"] = _Views(views[1:1 + n])
-        d["biases"] = _Views(views[1 + n:-1])
-        d["intercept"] = views[-1]
+        self.__dict__.update(_layout=layout, flat=flat, w1=views[0], deep=tuple(views[1:1 + n]),
+                             biases=tuple(views[1 + n:-1]), intercept=views[-1])
+
+    def __setattr__(self, name, value):
+        # an in-place operator (params.w1 += g) rebinds the same object
+        if name not in self.__dict__ or self.__dict__[name] is not value:
+            raise AttributeError("cannot rebind %r: parameter blocks are written in place"
+                                 % name)
 
     def like(self, flat):
         """Parameters with this layout viewing ``flat`` (no copy)."""
         out = object.__new__(NetworkParams)
-        out._layout = self._layout
-        out._bind(flat)
+        out._bind(self._layout, flat)
         return out
 
     def copy(self):
@@ -274,7 +247,8 @@ def prune(params, arch):
     # a linear model's w1 rows are its outputs, never dropped
     if arch.n_layers == 1 or alive.size == w1.shape[0]:
         p_arch = Architecture(selected.size, arch.hidden, arch.output_dim, arch.activation)
-        p_params = NetworkParams(w1[:, selected], params.deep, params.biases, params.intercept)
+        p_params = NetworkParams(w1[:, selected], params.deep, params.biases,
+                                 intercept=params.intercept)
         return p_params, p_arch, selected
     dead = np.setdiff1d(np.arange(w1.shape[0]), alive)
     w1p = w1[np.ix_(alive, selected)]
@@ -288,12 +262,12 @@ def prune(params, arch):
         W2p[rn == 0.0] = 1.0 / np.sqrt(W2p.shape[1])
     p_hidden = (alive.size,) + arch.hidden[1:]
     p_arch = Architecture(selected.size, p_hidden, arch.output_dim, arch.activation)
-    p_params = NetworkParams(w1p, [W2p] + params.deep[1:], [b1p] + params.biases[1:],
-                             params.intercept)
+    p_params = NetworkParams(w1p, (W2p, *params.deep[1:]), (b1p, *params.biases[1:]),
+                             intercept=params.intercept)
     if arch.n_layers == 2:
         p_params.intercept += const
     else:
-        p_params.biases[1] += const
+        p_params.biases[1][...] += const
     return p_params, p_arch, selected
 
 

@@ -42,7 +42,11 @@ NU_SCHEDULE = (0.9, 0.7, 0.4, 0.3, 0.2, 0.1)
 LAMBDA_FRACTIONS = tuple(
     float(np.exp(i - 1.0) / (1.0 + np.exp(i - 1.0))) for i in range(len(NU_SCHEDULE))
 ) + (1.0,)
+# Adam's step size and moment constants, for every Adam phase
 WARM_LR = 0.01
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 WARM_TOL = 1e-4
 FINAL_TOL = 1e-7
 
@@ -88,14 +92,10 @@ class FitResult:
 
 
 class _Adam:
-    """Adam on one flat parameter vector, updated in place through two
-    scratch vectors of its own."""
+    """Adam with the module's constants on one flat parameter vector,
+    updated in place through two scratch vectors of its own."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, size):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -106,21 +106,21 @@ class _Adam:
         # x -= lr * (m / c1) / (sqrt(v / c2) + eps), one rounding per
         # operation in the order written
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         m, v, a, b = self.m, self.v, self._a, self._b
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        m *= self.beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m *= ADAM_BETA1
         m += a
         np.multiply(g, g, out=a)
-        a *= 1.0 - self.beta2
-        v *= self.beta2
+        a *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += a
         np.divide(m, c1, out=a)
-        a *= self.lr
+        a *= WARM_LR
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         x -= a
 
@@ -130,7 +130,7 @@ def ista_step(params, grads, spec, step):
     parameter, then the prox of the penalized first matrix at effective
     regularization step*lam.  Returns new params."""
     out = params.like(params.flat - step * grads.flat)
-    out.w1 = prox_vector(out.w1, spec, step)
+    out.w1[...] = prox_vector(out.w1, spec, step)
     return out
 
 
@@ -140,7 +140,7 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     penalty term.  Stops when the relative cost change falls below tol,
     on an exactly zero regression residual, or after cfg.max_phase_iters
     updates.  Updates params in place and returns its PhaseRecord."""
-    adam = _Adam(params.flat.size, WARM_LR)
+    adam = _Adam(params.flat.size)
     g = params.like(np.empty_like(params.flat))
     prev = None
     # one pass more than the budget, to price the last update
@@ -289,7 +289,7 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
     Xs = X[:, selected]
     if phases[-1].stop != STOP_PERFECT:
         if selected.size == 0:
-            pruned.intercept = null_constant(task, Y)
+            pruned.intercept[...] = null_constant(task, Y)
             phases.append(PhaseRecord("refit", 0.0, None, 0, None, None, STOP_CONVERGED))
         else:
             phases.append(_adam_phase(

@@ -111,16 +111,16 @@ def test_gradients_match_finite_differences():
             else:
                 Y = np.eye(3)[rng.integers(0, 3, size=n)]
             params = init_params(arch, rng)
-            params.w1 = rng.normal(size=params.w1.shape)
-            for i in range(len(params.biases)):
-                params.biases[i] = rng.normal(size=params.biases[i].shape)
-            params.intercept = rng.normal(size=params.intercept.shape)
+            params.w1[...] = rng.normal(size=params.w1.shape)
+            for b in params.biases:
+                b[...] = rng.normal(size=b.shape)
+            params.intercept[...] = rng.normal(size=params.intercept.shape)
 
             pred, cache = forward_cached(params, arch, X)
             _, dpred = loss_and_grad(task, pred, Y)
             g = backward(params, arch, cache, dpred)
-            blocks = [params.w1] + params.deep + params.biases + [params.intercept]
-            gblocks = [g.w1] + g.deep + g.biases + [g.intercept]
+            blocks = [params.w1, *params.deep, *params.biases, params.intercept]
+            gblocks = [g.w1, *g.deep, *g.biases, g.intercept]
             analytic = _flatten(gblocks)
 
             h = 1e-6
@@ -160,13 +160,13 @@ def test_null_gradient_bound_and_depth_ratio():
         for _ in range(50):
             params = init_params(arch, rng)
             params.w1[:] = 0.0
-            params.deep = [rng.normal(size=d.shape) for d in params.deep]
-            params.biases = [rng.normal(size=b.shape) for b in params.biases]
+            for b in (*params.deep, *params.biases):
+                b[...] = rng.normal(size=b.shape)
             # a null-class member must realize the optimal constant, so the
             # deep path's constant output is folded into the intercept
-            params.intercept = np.zeros_like(params.intercept)
+            params.intercept[...] = 0.0
             base = forward(params, arch, X[:1])[0]
-            params.intercept = null_constant(task, Y) - base
+            params.intercept[...] = null_constant(task, Y) - base
             pred, cache = forward_cached(params, arch, X)
             _, dpred = loss_and_grad(task, pred, Y)
             g = backward(params, arch, cache, dpred)

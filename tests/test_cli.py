@@ -444,6 +444,40 @@ class TestPredict:
         assert all(text in err for text in named), err
         assert not (tmp_path / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("fault,named", [
+        ("no-mean", "selected"), ("string-mean", "selected"), ("selected-int", "selected"),
+        ("selected-names", "selected"), ("extra-selected", "selected"), ("bogus-task", "task"),
+        ("label-count", "labels"), ("label-int", "labels"),
+    ])
+    def test_bad_model_fields_are_data_errors(self, trained, tmp_path, capsys, fault, named):
+        d, train, model = trained
+        model = json.loads(json.dumps(model))
+        selected = model["selected"]
+        assert selected
+        if fault == "no-mean":
+            for entry in selected:
+                del entry["mean"]
+        elif fault == "string-mean":
+            selected[0]["mean"] = str(selected[0]["mean"])
+        elif fault == "selected-int":
+            model["selected"] = 5
+        elif fault == "selected-names":
+            model["selected"] = [entry["name"] for entry in selected]
+        elif fault == "extra-selected":
+            selected.append(dict(selected[0]))
+        elif fault == "bogus-task":
+            model["task"] = "bogus"
+        else:
+            model["task"] = "classification"
+            model["labels"] = ["a", "b"] if fault == "label-count" else [1]
+        (tmp_path / "bad.json").write_text(json.dumps(model))
+        rc = main(["predict", str(tmp_path / "bad.json"), str(train),
+                   "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+        assert named in err, err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_null_model_constant_predictions(self, tmp_path):
         train = tmp_path / "noise.csv"
         rng = np.random.default_rng(11)

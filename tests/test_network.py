@@ -27,7 +27,7 @@ REG = TaskSpec("regression", 1)
 
 
 def blocks(params):
-    return [params.w1] + params.deep + params.biases + [params.intercept]
+    return [params.w1, *params.deep, *params.biases, params.intercept]
 
 
 def loss_of(params, arch, X, Y, task):
@@ -212,18 +212,24 @@ class TestPrune:
     def test_dead_neuron_constant_absorbed(self):
         # nonzero dropped columns: predictions agree at the hidden-layer
         # mean state even though the restriction renormalizes
-        rng = np.random.default_rng(9)
-        arch = Architecture(4, (3,), 1, "softplus")
-        params = init_params(arch, rng)
-        params.biases[0][:] = np.array([0.3, -0.2, 0.8])
-        params.w1[2, :] = 0.0
-        pp, pa, sel = prune(params, arch)
-        assert pa.hidden == (2,)
-        assert pp.deep[0].shape == (1, 2)
-        # constant contribution of the dead neuron moved into the intercept
-        V2, _ = normalize_rows(params.deep[0])
-        dead_part = V2[0, 2] * np.logaddexp(0.0, 0.8)
-        assert pp.intercept[0] == pytest.approx(params.intercept[0] + dead_part)
+        for hidden in [(3,), (3, 2)]:
+            rng = np.random.default_rng(9)
+            arch = Architecture(4, hidden, 1, "softplus")
+            params = init_params(arch, rng)
+            params.biases[0][:] = np.array([0.3, -0.2, 0.8])
+            params.w1[2, :] = 0.0
+            pp, pa, sel = prune(params, arch)
+            assert pa.hidden == (2,) + hidden[1:]
+            assert pp.deep[0].shape == (arch.widths[2], 2)
+            # the dead neuron's constant moved into the next layer's offset:
+            # the intercept, or the second hidden layer's biases
+            V2, _ = normalize_rows(params.deep[0])
+            dead_part = V2[:, 2] * np.logaddexp(0.0, 0.8)
+            got, was = (pp.intercept, params.intercept) if len(hidden) == 1 else (
+                pp.biases[1], params.biases[1])
+            np.testing.assert_allclose(got, was + dead_part, rtol=1e-12)
+            for b in blocks(pp):
+                assert np.shares_memory(b, pp.flat)
 
     def test_empty_support_collapses_to_constant(self):
         rng = np.random.default_rng(10)
@@ -394,15 +400,33 @@ class TestFlatLayout:
         np.testing.assert_array_equal(c.flat, params.flat)
 
     def test_assignment_writes_into_the_buffer(self):
+        # blocks are written in place; rebinding one raises
         params = init_params(Architecture(3, (4, 2), 1), np.random.default_rng(41))
-        params.w1 = np.full((4, 3), 1.5)
-        params.deep = [np.full((2, 4), 2.5), np.full((1, 2), 3.5)]
-        params.biases[1] = np.array([4.5, 5.5])
-        params.intercept = np.array([6.5])
+        params.w1[...] = 1.0
+        params.w1 += 0.5
+        for d, v in zip(params.deep, (2.5, 3.5)):
+            d[...] = v
+        params.biases[1][...] = [4.5, 5.5]
+        params.intercept[...] = 6.5
+        flat = params.flat
+        params.flat += 1.0
+        assert params.flat is flat
         for b in blocks(params):
             assert np.shares_memory(b, params.flat)
         np.testing.assert_array_equal(
-            params.flat, [1.5] * 12 + [2.5] * 8 + [3.5] * 2 + [0.0] * 4 + [4.5, 5.5, 6.5])
+            params.flat, [2.5] * 12 + [3.5] * 8 + [4.5] * 2 + [1.0] * 4 + [5.5, 6.5, 7.5])
+        before = params.flat.copy()
+        # values the blocks would accept in place
+        for name, value in (("w1", params.w1.copy()), ("deep", list(params.deep)),
+                            ("biases", list(params.biases)), ("intercept", 1.0),
+                            ("flat", params.flat.copy())):
+            with pytest.raises(AttributeError, match=name):
+                setattr(params, name, value)
+        with pytest.raises(TypeError):
+            params.deep[0] = np.zeros((2, 4))
+        with pytest.raises(TypeError):
+            params.biases[1] = np.zeros(2)
+        np.testing.assert_array_equal(params.flat, before)
 
     @pytest.mark.parametrize("hidden", [(), (5,), (8, 4), (3, 2, 2)])
     @pytest.mark.parametrize("activation", ACTIVATIONS)

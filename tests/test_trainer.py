@@ -48,7 +48,7 @@ def linear_params(p, w=None):
     rng = np.random.default_rng(0)
     params = init_params(arch, rng)
     if w is not None:
-        params.w1 = np.asarray(w, dtype=float).reshape(1, p)
+        params.w1[...] = np.asarray(w, dtype=float).reshape(1, p)
     return params, arch
 
 
@@ -73,8 +73,8 @@ class TestIstaStep:
         for y in [0.1, 0.9, 1.7, -2.4, 5.0]:
             params, arch = linear_params(1, [0.0])
             grads = params.copy()
-            grads.w1 = np.array([[-y]])
-            grads.intercept = np.zeros(1)
+            grads.w1[...] = -y
+            grads.intercept[...] = 0.0
             out = ista_step(params, grads, spec, 1.0)
             assert out.w1[0, 0] == pytest.approx(prox(y, spec), abs=1e-12)
 
@@ -82,8 +82,8 @@ class TestIstaStep:
         spec = solve_threshold(1.0, 0.5)
         params, arch = linear_params(3, [0.0, 0.0, 0.0])
         grads = params.copy()
-        grads.w1 = np.zeros((1, 3))
-        grads.intercept = np.zeros(1)
+        grads.w1[...] = 0.0
+        grads.intercept[...] = 0.0
         out = ista_step(params, grads, spec, 0.7)
         assert np.all(out.w1 == 0.0)
 
@@ -93,10 +93,10 @@ class TestIstaStep:
         rng = np.random.default_rng(1)
         params = init_params(arch, rng)
         grads = params.copy()
-        grads.w1 = np.zeros_like(params.w1)
-        grads.deep = [np.ones_like(params.deep[0])]
-        grads.biases = [np.full_like(params.biases[0], 2.0)]
-        grads.intercept = np.array([3.0])
+        grads.w1[...] = 0.0
+        grads.deep[0][...] = 1.0
+        grads.biases[0][...] = 2.0
+        grads.intercept[...] = 3.0
         out = ista_step(params, grads, spec, 0.25)
         np.testing.assert_allclose(out.deep[0], params.deep[0] - 0.25, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.biases[0], params.biases[0] - 0.5, rtol=0, atol=1e-15)
@@ -104,7 +104,7 @@ class TestIstaStep:
 
 
 def blocks(params):
-    return [params.w1] + params.deep + params.biases + [params.intercept]
+    return [params.w1, *params.deep, *params.biases, params.intercept]
 
 
 class PerBlockAdam:
@@ -131,7 +131,7 @@ class PerBlockAdam:
 def per_block_ista_step(params, grads, spec, step):
     """The proximal-gradient update as it was before the flat buffer."""
     out = params.copy()
-    out.w1 = prox_vector(params.w1 - step * grads.w1, spec, step)
+    out.w1[...] = prox_vector(params.w1 - step * grads.w1, spec, step)
     for o, b, g in zip(blocks(out)[1:], blocks(params)[1:], blocks(grads)[1:]):
         o[...] = b - step * g
     return out
@@ -146,7 +146,7 @@ class TestFlatUpdates:
         flat = init_params(arch, rng)
         start = flat.flat.copy()
         ref = flat.copy()
-        adam = _Adam(flat.flat.size, WARM_LR)
+        adam = _Adam(flat.flat.size)
         ref_adam = PerBlockAdam(blocks(ref), WARM_LR)
         for _ in range(50):
             for p, opt in ((flat, adam), (ref, ref_adam)):
