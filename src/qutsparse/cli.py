@@ -345,10 +345,14 @@ def _softmax(pred):
 
 
 def _is_feature(entry):
-    """Whether entry is a selected-feature object as fit writes it."""
+    """Whether entry is a selected-feature object as fit writes it: its
+    mean a finite float and its std a finite, positive one.  NaN fails
+    both tests, and so does an int too large for a float."""
     return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and type(entry.get("index")) is int and entry["index"] >= 0
-            and all(type(entry.get(k)) in (int, float) for k in ("mean", "std")))
+            and all(type(entry.get(k)) in (int, float) for k in ("mean", "std"))
+            and abs(entry["mean"]) <= sys.float_info.max
+            and 0 < entry["std"] <= sys.float_info.max)
 
 
 def _check_model(path, model, arch):
@@ -360,7 +364,7 @@ def _check_model(path, model, arch):
     selected = model["selected"]
     if not isinstance(selected, list) or not all(map(_is_feature, selected)):
         raise DataError("model %s: selected must be a list of objects with a str name, "
-                        "an int index >= 0 and a numeric mean and std" % path)
+                        "an int index >= 0, a finite mean and a finite std > 0" % path)
     if len(selected) != arch.input_dim:
         raise DataError("model %s: %d selected features for a network of %d inputs"
                         % (path, len(selected), arch.input_dim))
@@ -386,6 +390,8 @@ def cmd_predict(args):
         params, arch = params_from_dict(model["network"])
     except (TypeError, ValueError) as exc:
         raise DataError("model %s: bad network: %s" % (args.model, exc)) from exc
+    if not np.all(np.isfinite(params.flat)):
+        raise DataError("model %s: bad network: it holds a non-finite number" % args.model)
     _check_model(args.model, model, arch)
     X, imputed = ScoringFile(args.data, has_header=not args.no_header).columns(model["selected"])
     if imputed:

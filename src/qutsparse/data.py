@@ -84,9 +84,13 @@ def _rows(text, path):
 
 def _split_header(rows, path, has_header):
     """(column names, data rows, file row number of the first data row);
-    without a header the names are x0, x1, ..."""
+    without a header the names are x0, x1, ...  A header name that appears
+    twice is an error: a name would pick either column."""
     if has_header:
         names, data, start_row = rows[0], rows[1:], 2
+        if len(set(names)) < len(names):
+            repeated = next(name for j, name in enumerate(names) if name in names[:j])
+            raise DataError("%s: header name %r appears more than once" % (path, repeated))
     else:
         names, data, start_row = ["x%d" % j for j in range(len(rows[0]))], rows, 1
     if not data:
@@ -199,9 +203,9 @@ def _loadtxt_table(text, target, has_header, task_kind):
 
     That is a file with a quote character, a blank first line, a cell
     float() takes and loadtxt does not (a missing token, '1_0'), ragged
-    rows, no data rows, a target that does not name a column, or a missing
-    target value.  Classification labels are coded by a converter and stay
-    text, so '1' and '1.0' are two labels.
+    rows, no data rows, a repeated header name, a target that does not name
+    a column, or a missing target value.  Classification labels are coded
+    by a converter and stay text, so '1' and '1.0' are two labels.
     """
     if '"' in text:
         return None
@@ -213,7 +217,7 @@ def _loadtxt_table(text, target, has_header, task_kind):
         names, start = cells, len(first)
     else:
         names, start = ["x%d" % j for j in range(len(cells))], 0
-    if len(names) < 2 or not _NON_SPACE.search(text, start):
+    if len(names) < 2 or len(set(names)) < len(names) or not _NON_SPACE.search(text, start):
         return None
     try:
         t_idx = _resolve_target(target, names, has_header, len(names))

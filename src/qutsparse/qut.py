@@ -14,6 +14,7 @@ nothing else in the estimate is random.  Spawning and hashing 1000 children
 took 10 ms, more than a whole 6.5 ms estimate at 70x250 (x86-64, numpy 2.4),
 so numpy computes only the parent's pool, and the per-child step of its
 hash (the spawn key's mixing and generate_state) runs here for all draws.
+Each block of BLOCK draws is filled in place, one contiguous row per draw.
 """
 
 from dataclasses import dataclass
@@ -99,29 +100,31 @@ def _class_cdf(task, Y):
     return cdf
 
 
-def _draw(task, shape, cdf, rng):
-    """One null response of the given shape from rng.  A classification
-    draw takes the class indices rng.choice(m, size=n, p=p) gives, by the
-    search choice runs inside it, without its per-call checks."""
+def _null_block(cdf, shape, gens):
+    """One null response of shape (n, m) per generator, as the C-ordered
+    (n, k, m) block _block_statistics reads.  Generator i fills row i of a
+    draw-major buffer in place: standard normals for regression (cdf None),
+    else uniforms, mapped to classes by the search rng.choice(m, size=n,
+    p=p) runs, once for the whole block and without choice's checks."""
     n, m = shape
-    if task.kind == "regression":
-        return rng.standard_normal((n, m))
-    idx = cdf.searchsorted(rng.random(n), side="right")
-    return np.eye(m)[idx]
+    if cdf is None:
+        U = np.empty((len(gens), n, m))
+        for gen, row in zip(gens, U):
+            gen.standard_normal(out=row)
+        # a copy, not the view: the block's reductions sum in memory order
+        return np.ascontiguousarray(U.transpose(1, 0, 2))
+    U = np.empty((len(gens), n))
+    for gen, row in zip(gens, U):
+        gen.random(out=row)
+    return np.eye(m)[cdf.searchsorted(U.T, side="right")]
 
 
 def sample_null(task, Y, rng):
-    """One null response draw: standard normal columns for regression,
-    one-hot rows with class probabilities from Y's proportions for
-    classification.
-
-    compute_qut draws whole blocks instead; this per-draw form is the
-    reference that test_samples_bitwise_equal_block_reference holds those
-    blocks to, bit for bit, and test_class_draws_equal_rng_choice holds
-    its classification draws to rng.choice.
-    """
+    """One null response draw (standard normal columns for regression, one-hot
+    rows with Y's class proportions for classification): the one-draw case
+    of _null_block, as null_statistic is of _block_statistics."""
     Y = np.asarray(Y, dtype=np.float64)
-    return _draw(task, Y.shape, _class_cdf(task, Y), rng)
+    return _null_block(_class_cdf(task, Y), Y.shape, [rng])[:, 0, :]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -208,10 +211,11 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
 
     Draw i uses the generator of child i of SeedSequence(seed) (see the
     module docstring), so the samples do not depend on how the draws are
-    grouped for evaluation.  The quantile is the plain ascending order
+    grouped into blocks, save one case: a one-draw regression block (which
+    n_mc % BLOCK == 1 forms) sums in another order, so its sample may
+    differ in the last bits.  The quantile is the plain ascending order
     statistic at ceil((1-alpha)*n_mc), no interpolation.  seed=None draws
-    fresh entropy; the estimate's seed records it, so the run can be
-    repeated.
+    fresh entropy, which the estimate's seed records.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be inside (0, 1)")
@@ -227,12 +231,8 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     child_seed = _child_seed_type()
     samples = np.empty(n_mc)
     for a in range(0, n_mc, BLOCK):
-        block = states[a:a + BLOCK]
-        Y0 = np.empty((Y.shape[0], len(block), Y.shape[1]))
-        for i, state in enumerate(block):
-            rng = np.random.Generator(np.random.PCG64(child_seed(state)))
-            Y0[:, i, :] = _draw(task, Y.shape, cdf, rng)
-        samples[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
+        gens = [np.random.Generator(np.random.PCG64(child_seed(s))) for s in states[a:a + BLOCK]]
+        samples[a:a + len(gens)] = _block_statistics(X, _null_block(cdf, Y.shape, gens), task, arch)
     k = ceil((1.0 - alpha) * n_mc)
     lam = float(np.sort(samples)[k - 1])
     return QutEstimate(lambda_qut=lam, alpha=alpha, n_mc=n_mc, seed=entropy, samples=samples)

@@ -21,6 +21,7 @@ from qutsparse.cli import (
     _s_grid_type,
     main,
 )
+from qutsparse.network import forward, params_from_dict
 from qutsparse.trainer import STOP_BUDGET
 
 
@@ -422,6 +423,8 @@ class TestPredict:
         ("w1-size", ["w1 has"]),
         ("deep-shape", ["deep has shapes"]),
         ("not-object", ["bad network: expected an object"]),
+        ("w1-nan", ["non-finite"]),
+        ("intercept-inf", ["non-finite"]),
     ])
     def test_bad_network_is_data_error(self, trained, tmp_path, capsys, fault, named):
         d, train, model = trained
@@ -434,6 +437,12 @@ class TestPredict:
             net["w1"] = net["w1"][:-1]
         elif fault == "deep-shape":
             net["deep"] = [[row[:-1] for row in net["deep"][0]]] + net["deep"][1:]
+        elif fault == "w1-nan":
+            w1 = np.array(net["w1"])
+            w1.flat[0] = np.nan
+            net["w1"] = w1.tolist()
+        elif fault == "intercept-inf":
+            net["intercept"] = [np.inf] * len(net["intercept"])
         else:
             net = [net]
         (tmp_path / "bad.json").write_text(json.dumps(dict(model, network=net)))
@@ -447,7 +456,9 @@ class TestPredict:
     @pytest.mark.parametrize("fault,named", [
         ("no-mean", "selected"), ("string-mean", "selected"), ("selected-int", "selected"),
         ("selected-names", "selected"), ("extra-selected", "selected"), ("bogus-task", "task"),
-        ("label-count", "labels"), ("label-int", "labels"),
+        ("label-count", "labels"), ("label-int", "labels"), ("std-zero", "selected"),
+        ("std-nan", "selected"), ("std-negative", "selected"), ("mean-inf", "selected"),
+        ("mean-huge-int", "selected"),
     ])
     def test_bad_model_fields_are_data_errors(self, trained, tmp_path, capsys, fault, named):
         d, train, model = trained
@@ -467,6 +478,12 @@ class TestPredict:
             selected.append(dict(selected[0]))
         elif fault == "bogus-task":
             model["task"] = "bogus"
+        elif fault.startswith("std-"):
+            selected[0]["std"] = {"std-zero": 0.0, "std-nan": np.nan, "std-negative": -1.0}[fault]
+        elif fault == "mean-inf":
+            selected[0]["mean"] = np.inf
+        elif fault == "mean-huge-int":  # no float holds it
+            selected[0]["mean"] = 10 ** 400
         else:
             model["task"] = "classification"
             model["labels"] = ["a", "b"] if fault == "label-count" else [1]
@@ -477,6 +494,44 @@ class TestPredict:
         assert rc == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
         assert named in err, err
         assert not (tmp_path / "predictions.csv").exists()
+
+    def test_headerless_file_matched_by_index(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        make_regression_csv(train, n=50, p=4, signal_col=2, seed=3, header=False)
+        make_regression_csv(test, n=20, p=4, signal_col=2, seed=5, header=False)
+        rc = main(["fit", str(train), "--target", "4", "--no-header",
+                   "--hidden", "none", "--n-mc", "100", "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        model = json.load(open(tmp_path / "model.json"))
+        assert [e["index"] for e in model["selected"]] == [2]
+        rc = main(["predict", str(tmp_path / "model.json"), str(test), "--no-header",
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = np.loadtxt(test, delimiter=",")
+        sel = model["selected"]
+        X = (rows[:, [e["index"] for e in sel]] - [e["mean"] for e in sel]) / [
+            e["std"] for e in sel]
+        params, arch = params_from_dict(model["network"])
+        got = np.loadtxt(tmp_path / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(got, forward(params, arch, X))
+
+    def test_missing_cells_take_the_stored_mean(self, trained, tmp_path, capsys):
+        d, train, model = trained
+        (entry,) = model["selected"]
+        rows = list(csv.reader(train.read_text().splitlines()))
+        j = rows[0].index(entry["name"])
+        filled = [row[:] for row in rows]
+        for i, token in ((2, "NA"), (5, "")):
+            rows[i][j] = token
+            filled[i][j] = repr(entry["mean"])
+        for name, table in (("holes", rows), ("filled", filled)):
+            write_csv_file(tmp_path / (name + ".csv"), table[0], table[1:])
+            rc = main(["predict", str(d / "model.json"), str(tmp_path / (name + ".csv")),
+                       "--output-dir", str(tmp_path / name)])
+            assert rc == EXIT_OK
+        assert "imputed 2 missing cells with stored means" in capsys.readouterr().err
+        assert (tmp_path / "holes" / "predictions.csv").read_bytes() == (
+            tmp_path / "filled" / "predictions.csv").read_bytes()
 
     def test_null_model_constant_predictions(self, tmp_path):
         train = tmp_path / "noise.csv"
@@ -847,6 +902,44 @@ class TestHoldout:
             acc = np.mean(np.array(ds.labels)[np.argmax(pred, axis=1)] == np.array(y))
             line = "test accuracy = %.4f  (%d rows)" % (acc, len(y))
         assert capsys.readouterr().out.splitlines()[-1] == line
+
+
+class TestRepeatedHeaderName:
+    """A header name that appears twice is a data error in every reader:
+    exit 3 and one 'data error:' line naming it, no output file."""
+
+    @pytest.fixture
+    def twice(self, trained, tmp_path):
+        # f0 renamed f4, so the name the model selects picks either column
+        path = tmp_path / "twice.csv"
+        path.write_text(trained[1].read_text().replace("f0,", "f4,", 1))
+        return path
+
+    def assert_data_error(self, rc, capsys, out_file):
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "header name 'f4' appears more than once" in err, err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command,out_name", [("qut", "qut.json"), ("fit", "model.json")])
+    def test_training_file(self, twice, tmp_path, capsys, command, out_name):
+        out = tmp_path / "out"
+        rc = main([command, str(twice), "--target", "y", "--hidden", "none", "--n-mc", "100",
+                   "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, out / out_name)
+
+    def test_predict(self, trained, twice, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["predict", str(trained[0] / "model.json"), str(twice),
+                   "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, out / "predictions.csv")
+
+    def test_fit_test_file(self, trained, twice, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["fit", str(trained[1]), "--target", "y", "--hidden", "none", "--n-mc", "100",
+                   "--test-file", str(twice), "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, out / "model.json")
 
 
 class TestNotUtf8:

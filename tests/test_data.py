@@ -108,6 +108,7 @@ INGESTION_CASES = [
     ("ragged row", csv_text({(5, 2): "1,2"}), {}, False),
     ("header wider than the rows", csv_text(header=HEADER + ["z"]), {}, False),
     ("header only", "a,b,c,y\n", {}, False),
+    ("repeated header name", csv_text(header=["a", " a", "b", "y"]), {}, False),
     ("no header, index target", csv_text(header=None),
      {"target": "3", "has_header": False}, True),
     ("three labels", csv_text(target=LABELS), CLASSIFY, True),

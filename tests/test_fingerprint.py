@@ -27,6 +27,17 @@ def test_tiny_grid_fingerprint_repeats():
     assert fp.fingerprint(tiny, ROOT / "src") == first
 
 
+def test_main_fails_when_a_command_fails(monkeypatch, capsys):
+    fp = load_tool()
+    qut = ["qut", "{reg}", "--target", "y", "--n-mc", "50"]
+    monkeypatch.setattr(fp, "COMMANDS", {"qut": qut})
+    assert fp.main(["--src", str(ROOT / "src")]) == 0
+    monkeypatch.setattr(fp, "COMMANDS", {"qut": qut, "no-target": qut[:2] + ["--target", "z"]})
+    assert fp.main(["--src", str(ROOT / "src")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "qut exit 0" in out and "no-target exit 3" in out
+
+
 def test_digest_ignores_volatile_fields_and_record_order(tmp_path):
     fp = load_tool()
     a, b = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"

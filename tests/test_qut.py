@@ -6,6 +6,7 @@ import pytest
 from qutsparse.losses import TaskSpec, null_constant
 from qutsparse.network import Architecture, forward_cached, backward, init_params, normalize_rows
 from qutsparse.losses import loss_and_grad
+from qutsparse import qut
 from qutsparse.qut import (
     BLOCK,
     QutEstimate,
@@ -265,6 +266,26 @@ class TestNullDrawStream:
                 ref[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
             got = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=seed)
             np.testing.assert_array_equal(got.samples, ref)
+
+    def test_samples_do_not_depend_on_block_size(self, monkeypatch):
+        # no block of one draw forms at n_mc 70: a one-column block sums in
+        # another order, so one regression draw alone may differ in its last bits
+        rng = np.random.default_rng(14)
+        n, p, n_mc = 60, 20, 70
+        X = rng.normal(0, 1, (n, p))
+        cases = [
+            (REG, rng.normal(0, 1, (n, 1)), Architecture(p, (10,), 1)),
+            (TaskSpec("regression", 2), rng.normal(0, 1, (n, 2)), Architecture(p, (8, 4), 2)),
+            (TaskSpec("classification", 3), np.eye(3)[rng.integers(0, 3, n)],
+             Architecture(p, (6,), 3)),
+        ]
+        for task, Y, arch in cases:
+            got = {}
+            for block in (7, 32, 64):
+                monkeypatch.setattr(qut, "BLOCK", block)
+                got[block] = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=3).samples
+            np.testing.assert_array_equal(got[7], got[32])
+            np.testing.assert_array_equal(got[64], got[32])
 
 
 class TestGradientBound:
