@@ -7,6 +7,7 @@ file is still written).
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -202,8 +203,15 @@ def _options(args, config, command):
     return opts
 
 
+def _make_output_dir(path):
+    """Create --output-dir if it is missing; UsageError when that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError("--output-dir %s: %s" % (path, exc)) from exc
+
+
 def _out_path(args, name):
-    os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
 
 
@@ -400,22 +408,19 @@ def cmd_predict(args):
     if not np.all(np.isfinite(pred)):
         raise NumericalError("predictions came out non-finite")
 
+    if model["task"] == "classification":
+        labels = model["labels"]
+        header = ["label"] + ["p_%s" % lab for lab in labels]
+        rows = ([labels[k]] + probs for k, probs in
+                zip(np.argmax(pred, axis=1).tolist(), _softmax(pred).tolist()))
+    else:
+        header = ["y_hat"] if pred.shape[1] == 1 else ["y_hat_%d" % j for j in range(pred.shape[1])]
+        rows = pred.tolist()
     path = _out_path(args, "predictions.csv")
-    with open(path, "w") as fh:
-        if model["task"] == "classification":
-            labels = model["labels"]
-            fh.write(",".join(["label"] + ["p_%s" % lab for lab in labels]) + "\n")
-            probs = _softmax(pred)
-            for i in range(pred.shape[0]):
-                lab = labels[int(np.argmax(pred[i]))]
-                fh.write(",".join([lab] + [repr(float(v)) for v in probs[i]]) + "\n")
-        else:
-            cols = ["y_hat"] if pred.shape[1] == 1 else [
-                "y_hat_%d" % j for j in range(pred.shape[1])
-            ]
-            fh.write(",".join(cols) + "\n")
-            for i in range(pred.shape[0]):
-                fh.write(",".join(repr(float(v)) for v in pred[i]) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     print("wrote %s (%d rows)" % (path, pred.shape[0]))
     return EXIT_OK
 
@@ -485,11 +490,7 @@ def cmd_simulate(args):
 
     print(" ".join("%10s" % c for c in CSV_COLUMNS))
     for row in rows:
-        print(
-            "%10d %10d %10.3f %10.3f %10.3f %10.4g %10d"
-            % (row["s"], row["n_runs"], row["pesr"], row["fdr"], row["tpr"],
-               row["mean_l2"], row["failures"])
-        )
+        print("%10d %10d %10.3f %10.3f %10.3f %10.4g %10d" % tuple(row[c] for c in CSV_COLUMNS))
     print("wrote %s" % csv_path)
     return EXIT_OK
 
@@ -561,6 +562,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _make_output_dir(args.output_dir)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -10,9 +10,9 @@ a 0-based index, parsed as floats for regression and kept as strings
 for classification.
 
 A training file is read in one of two ways, with the same Dataset or the
-same DataError either way.  A file whose cells are all numbers (nan and
-inf included) apart from the classification labels, with no quote
-character and no blank first line, is parsed in one np.loadtxt pass.
+same DataError either way.  A file whose cells are all finite numbers or
+nan apart from the classification labels, with no quote character and no
+blank first line, is parsed in one np.loadtxt pass.
 Every other file (missing tokens, ragged rows, quoted cells, '1_0', a
 missing target value, ...) is read cell by cell with the csv module and
 float(); that reader is the reference and raises every DataError.
@@ -107,7 +107,7 @@ def _is_missing(tok):
 
 
 def _parse_column(rows, j, name, start_row):
-    """Floats with NaN at missing cells; raises on other non-numeric."""
+    """Floats with NaN at missing cells; any other cell must be a finite number."""
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
         tok = row[j]
@@ -115,11 +115,13 @@ def _parse_column(rows, j, name, start_row):
             out[i] = np.nan
             continue
         try:
-            out[i] = float(tok)
+            out[i] = value = float(tok)
         except ValueError:
             raise DataError(
                 "column %r, row %d: non-numeric value %r" % (name, start_row + i, tok)
             ) from None
+        if abs(value) == np.inf:
+            raise DataError("column %r, row %d: infinite value %r" % (name, start_row + i, tok))
     return out
 
 
@@ -204,7 +206,7 @@ def _loadtxt_table(text, target, has_header, task_kind):
     That is a file with a quote character, a blank first line, a cell
     float() takes and loadtxt does not (a missing token, '1_0'), ragged
     rows, no data rows, a repeated header name, a target that does not name
-    a column, or a missing target value.  Classification labels are coded
+    a column, a missing target value or an infinite cell.  Labels are coded
     by a converter and stay text, so '1' and '1.0' are two labels.
     """
     if '"' in text:
@@ -237,7 +239,7 @@ def _loadtxt_table(text, target, has_header, task_kind):
                            converters=converters)
     except ValueError:
         return None
-    if table.shape[1] != len(names):
+    if table.shape[1] != len(names) or np.isinf(table).any():
         return None
     y = np.ascontiguousarray(table[:, t_idx])
     if task_kind != "regression":

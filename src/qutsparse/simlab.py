@@ -11,6 +11,7 @@ the records a resuming caller read with read_records, and rebuild the
 summary CSV from the sorted record set.
 """
 
+import csv
 import json
 import os
 from contextlib import ExitStack
@@ -181,16 +182,9 @@ CSV_COLUMNS = ("s", "n_runs", "pesr", "fdr", "tpr", "mean_l2", "failures")
 
 def write_csv(rows, path):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                v = row[col]
-                if isinstance(v, float):
-                    cells.append(repr(float(v)))
-                else:
-                    cells.append(str(int(v)))
-            fh.write(",".join(cells) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row[col] for col in CSV_COLUMNS] for row in rows)
 
 
 def _record_key(rec):

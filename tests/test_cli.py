@@ -344,6 +344,29 @@ class TestClassification:
             assert sum(ps) == pytest.approx(1.0)
             assert row[0] == ("neg", "pos")[int(np.argmax(ps))]
 
+    def test_labels_that_need_quoting_round_trip(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(90, 3))
+        labels = np.array(["a,b", 'q"x', "c"])[np.digitize(X[:, 0] + rng.normal(size=90),
+                                                             [-0.5, 0.5])]
+        train = tmp_path / "train.csv"
+        with open(train, "w", newline="") as fh:
+            csv.writer(fh).writerows([["u", "v", "w", "klass"]] + [
+                [repr(float(v)) for v in X[i]] + [labels[i]] for i in range(90)])
+        rc = main(["fit", str(train), "--target", "klass", "--task", "classification",
+                   "--hidden", "none", "--n-mc", "100", "--max-phase-iters", "300",
+                   "--output-dir", str(tmp_path)])
+        assert rc in (EXIT_OK, EXIT_BUDGET)
+        model = json.load(open(tmp_path / "model.json"))
+        assert model["labels"] == ["a,b", "c", 'q"x']
+        assert main(["predict", str(tmp_path / "model.json"), str(train),
+                     "--output-dir", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label"] + ["p_" + lab for lab in model["labels"]]
+        assert len(rows) == 91 and all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows[1:]} <= set(model["labels"])
+
 
 class TestPredict:
     def test_roundtrip_on_training_file(self, trained, tmp_path):
@@ -987,6 +1010,83 @@ class TestNotUtf8:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "%s is not UTF-8 text" % latin in err, err
         assert not (out / "model.json").exists()
+
+
+class TestInfiniteCell:
+    """A cell that parses to an infinity is a data error in every reader:
+    exit 3 and one 'data error:' line naming it, no output file."""
+
+    @staticmethod
+    def with_cells(trained, path, cells):
+        """The training file of trained with row 6 (the 5th data row)
+        holding cells, a dict from column name to token."""
+        rows = list(csv.reader(trained[1].read_text().splitlines()))
+        for column, token in cells.items():
+            rows[5][rows[0].index(column)] = token
+        write_csv_file(path, rows[0], rows[1:])
+        return path
+
+    @staticmethod
+    def assert_data_error(rc, capsys, out_file, column, token):
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err == "data error: column %r, row 6: infinite value %r\n" % (column, token)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command,column,token", [
+        ("qut", "f4", "inf"), ("qut", "y", "1e999"), ("fit", "f4", "inf"), ("fit", "y", "-inf"),
+    ])
+    def test_training_file(self, trained, tmp_path, capsys, command, column, token):
+        bad = self.with_cells(trained, tmp_path / "bad.csv", {column: token})
+        out = tmp_path / "out"
+        rc = main([command, str(bad), "--target", "y", "--hidden", "none", "--n-mc", "100",
+                   "--output-dir", str(out)])
+        name = "qut.json" if command == "qut" else "model.json"
+        self.assert_data_error(rc, capsys, out / name, column, token)
+
+    def test_predict(self, trained, tmp_path, capsys):
+        assert "f4" in [e["name"] for e in trained[2]["selected"]]
+        bad = self.with_cells(trained, tmp_path / "bad.csv", {"f4": "inf"})
+        out = tmp_path / "out"
+        rc = main(["predict", str(trained[0] / "model.json"), str(bad), "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, out / "predictions.csv", "f4", "inf")
+
+    @pytest.mark.parametrize("cells,named", [({"f4": "inf"}, "f4"),
+                                             ({"f4": "inf", "y": "-inf"}, "y")])
+    def test_fit_test_file(self, trained, tmp_path, capsys, cells, named):
+        bad = self.with_cells(trained, tmp_path / "bad.csv", cells)
+        out = tmp_path / "out"
+        rc = main(["fit", str(trained[1]), "--target", "y", "--hidden", "none", "--n-mc", "100",
+                   "--test-file", str(bad), "--output-dir", str(out)])
+        self.assert_data_error(rc, capsys, out / "model.json", named, cells[named])
+
+
+class TestOutputDir:
+    """An --output-dir that cannot be made a directory is a usage error:
+    exit 2 and one 'usage error:' line naming it, before the command reads
+    or computes anything."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["qut", "fit", "predict", "simulate"])
+    def test_a_regular_file(self, trained, tmp_path, monkeypatch, capsys, command, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --output-dir was checked")
+
+        for name in ("_read_json", "load_training", "ScoringFile", "compute_qut", "fit",
+                     "sweep"):
+            monkeypatch.setattr(cli, name, no_work)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        if command == "predict":
+            argv = ["predict", str(trained[0] / "model.json"), str(trained[1])]
+        else:
+            argv = command_argv(command, tmp_path)[0]
+        rc = main(argv + ["--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("usage error: --output-dir %s: " % out) and err.count("\n") == 1, err
+        assert blocker.read_text() == ""
 
 
 # qut, fit, predict and a one-worker simulate in one fresh interpreter; it

@@ -94,8 +94,9 @@ INGESTION_CASES = [
     ("row of only commas", with_line(csv_text(), 5, ",,,\n"), {}, False),
     ("padded cells", csv_text({(0, 0): "  1.5 ", (2, 1): "\t-2 "},
                               header=[" a ", "b", "c\t", " y"]), {}, True),
-    ("nan and inf cells",  # inf in the target: in a feature it would make X all NaN
-     csv_text({(1, 0): "nan", (4, 0): "NaN", (2, 3): "inf", (5, 3): "-Infinity"}), {}, True),
+    ("nan cells", csv_text({(1, 0): "nan", (4, 0): "NaN"}), {}, True),
+    # np.loadtxt reads inf and 1e999; the cell reader names the first infinite cell
+    ("inf cells", csv_text({(2, 3): "inf", (5, 3): "-Infinity", (3, 1): "1e999"}), {}, False),
     ("NA and empty cells", csv_text({(1, 0): "NA", (4, 2): ""}), {}, False),
     ("underscore digits", csv_text({(3, 1): "1_0"}), {}, False),
     ("quoted number", csv_text({(3, 1): '"2.5"'}), {}, False),
@@ -159,6 +160,18 @@ def test_labels_stay_text_and_missing_targets_name_their_row(tmp_path):
     path.write_text(csv_text({(7, 3): "NA"}, target=LABELS))
     with pytest.raises(DataError, match=r"^column 'y', row 9: missing target value$"):
         load_training(str(path), "y", task_kind="classification")
+
+
+@pytest.mark.parametrize("column,token", [("b", "1e999"), ("y", "-Infinity")])
+def test_an_infinite_cell_is_named_by_every_reader(tmp_path, column, token):
+    path = tmp_path / "t.csv"
+    path.write_text(csv_text({(3, HEADER.index(column)): token}))
+    message = "^column %r, row 5: infinite value %r$" % (column, token)
+    with pytest.raises(DataError, match=message):
+        load_training(str(path), "y")
+    with pytest.raises(DataError, match=message):
+        data.ScoringFile(str(path), target="y").columns(
+            [{"name": column, "index": 1, "mean": 0.0, "std": 1.0}])
 
 
 def write_big(path, task_kind="regression", na_cell=False):
