@@ -79,10 +79,11 @@ def penalty_value_and_slope(theta, nu):
 
 
 def _solve_jump(lam, nu):
-    """Positive root of the jump equation for 0 < nu < 1, lam > 0."""
+    """Root of the jump equation for 0 < nu <= 1, lam >= 0."""
     # Monotone reformulation t**(1 - nu/2) + t**(nu/2) = sqrt(2*lam*(1-nu)).
     # AM-GM puts the root inside (0, lam*(1-nu)/2], and both powers are
-    # increasing there, so plain bisection is safe.
+    # increasing there, so plain bisection is safe.  At nu = 1 or lam = 0
+    # the bracket is [0, 0], so the root is 0.
     target = math.sqrt(2.0 * lam * (1.0 - nu))
     lo = 0.0
     hi = lam * (1.0 - nu) / 2.0
@@ -96,6 +97,9 @@ def _solve_jump(lam, nu):
     return 0.5 * (lo + hi)
 
 
+# Powers of a huge theta, or of a subnormal one (nu near 1, lam = 0 or tiny),
+# overflow: h stays exact, and a NaN or infinite hp or cand bisects
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _prox_magnitudes(z, lam, nu, phi, kappa):
     """Componentwise prox on an array of nonnegative magnitudes.
 
@@ -129,8 +133,7 @@ def _prox_magnitudes(z, lam, nu, phi, kappa):
         mid = 0.5 * (lo + hi)
         done = np.abs(h) < tol
         hp = 1.0 - lam * one_m * theta ** (-nu) * ((2.0 - nu) + nut) / (d2 * d)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cand = np.where(hp > 0.0, theta - h / hp, mid)
+        cand = np.where(hp > 0.0, theta - h / hp, mid)
         # keep cand only strictly inside (lo, hi); a NaN or infinite cand
         # never is, as lo > -inf and no NaN enters lo or hi
         cand = np.where((cand > lo) & (cand < hi), cand, mid)
@@ -149,10 +152,6 @@ def _prox_magnitudes(z, lam, nu, phi, kappa):
 def _threshold_pair(lam, nu):
     # The backtracking line search revisits the same dyadic ladder of
     # effective lam values, so caching removes nearly all bisection work.
-    if lam == 0.0:
-        return 0.0, 0.0
-    if nu == 1.0:
-        return 0.5 * lam, 0.0
     kappa = _solve_jump(lam, nu)
     phi = 0.5 * kappa + lam / (1.0 + kappa ** (1.0 - nu))
     return phi, kappa
@@ -192,10 +191,6 @@ def prox_vector(v, spec, step=1.0):
         raise ValueError("step must be positive and finite, got %r" % step)
     v = np.asarray(v, dtype=np.float64)
     eff = step * spec.lam
-    if eff == 0.0:
-        return v.copy()
-    if spec.nu == 1.0:
-        return np.sign(v) * np.maximum(np.abs(v) - 0.5 * eff, 0.0)
     phi, kappa = _threshold_pair(eff, spec.nu)
     mags = _prox_magnitudes(np.abs(v).ravel(), eff, spec.nu, phi, kappa)
     return (np.sign(v).ravel() * mags).reshape(v.shape)

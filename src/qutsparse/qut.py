@@ -119,14 +119,6 @@ def _null_block(cdf, shape, gens):
     return np.eye(m)[cdf.searchsorted(U.T, side="right")]
 
 
-def sample_null(task, Y, rng):
-    """One null response draw (standard normal columns for regression, one-hot
-    rows with Y's class proportions for classification): the one-draw case
-    of _null_block, as null_statistic is of _block_statistics."""
-    Y = np.asarray(Y, dtype=np.float64)
-    return _null_block(_class_cdf(task, Y), Y.shape, [rng])[:, 0, :]
-
-
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -191,8 +183,9 @@ def _child_states(entropy, n):
 def _child_seed_type():
     """The seed type that hands PCG64 one row of _child_states in place of
     the child SeedSequence it was computed from.  Built on first use:
-    subclassing at import would load numpy.random with this module, which
-    raised the qut command's peak memory by about 0.5 MB."""
+    subclassing at import would load numpy.random with this module, and
+    so in predict, which never draws; loading it costs about 6 MB of
+    resident memory (x86-64, numpy 2.4)."""
 
     class ChildSeed(np.random.bit_generator.ISeedSequence):
         def __init__(self, state):

@@ -21,7 +21,7 @@ from qutsparse.network import (
     init_params,
 )
 from qutsparse.penalty import penalty_value, prox, solve_threshold
-from qutsparse.qut import null_statistic
+from qutsparse.qut import compute_qut, null_statistic
 from qutsparse.simlab import (
     ScenarioSpec,
     generate,
@@ -231,6 +231,33 @@ def test_null_calibration_linear():
     report("null-calibration-linear", 0.91 <= frac <= 0.99,
            "empty-support fraction %.3f over 200 linear noise fits (target"
            " 0.95 +/- 0.04)" % frac)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3], ids=["regression", "2-class", "3-class"])
+def test_null_level_calibration(m):
+    # the level alone, no fit: on pure noise the data's own null statistic
+    # exceeds compute_qut's level for about alpha = 0.05 of datasets.
+    # Dataset i draws X, then the response (uniform labels for m classes),
+    # from SeedSequence([2026, m, i]); the level uses fit's seed (i, 1).
+    # One architecture per task is enough: depth_scale multiplies the
+    # statistic and the level alike.
+    n, p, n_rep = 50, 100, 800
+    task = TaskSpec("regression", 1) if m == 1 else TaskSpec("classification", m)
+    arch = Architecture(p, (20,), task.n_outputs, "relu")
+    exceeded = 0
+    for i in range(n_rep):
+        rng = np.random.default_rng(np.random.SeedSequence([2026, m, i]))
+        X = rng.normal(size=(n, p))
+        Y = rng.normal(size=(n, 1)) if m == 1 else np.eye(m)[rng.integers(0, m, n)]
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        level = compute_qut(Xs, Y, task, arch, seed=(i, 1)).lambda_qut
+        exceeded += null_statistic(Xs, Y, task, arch) > level
+    # Binomial(800, 0.05) falls below 22 with probability 0.0006 and
+    # above 60 with probability 0.0009
+    report("null-level-" + ("regression" if m == 1 else "%d-class" % m),
+           22 <= exceeded <= 60,
+           "level exceeded on %d of %d noise datasets (band 22 to 60 around"
+           " alpha 0.05)" % (exceeded, n_rep))
 
 
 @pytest.fixture(scope="module")

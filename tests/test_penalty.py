@@ -217,11 +217,14 @@ class TestProx:
             assert objective(p, y, lam, nu) <= best + 1e-8
 
     def test_nu_one_is_soft_threshold(self):
+        # the general kernel's first Newton step is the soft threshold, bit
+        # for bit, whenever lam/2 exceeds its 1e-14*(1 + |y|) tolerance
         spec = solve_threshold(2.0, 1.0)
         ys = np.linspace(-5, 5, 101)
         expect = np.sign(ys) * np.maximum(np.abs(ys) - 1.0, 0.0)
-        got = np.array([prox(y, spec) for y in ys])
-        np.testing.assert_allclose(got, expect, atol=1e-14)
+        np.testing.assert_array_equal(prox_vector(ys, spec), expect)
+        expect = np.sign(ys) * np.maximum(np.abs(ys) - 0.3, 0.0)
+        np.testing.assert_array_equal(prox_vector(ys, spec, step=0.3), expect)
 
     def test_near_unbiased_for_large_y(self):
         spec = solve_threshold(1.0, 0.1)
@@ -230,8 +233,14 @@ class TestProx:
         assert abs(prox(100.0, soft) - 100.0) == pytest.approx(0.5)
 
     def test_zero_lam_identity(self):
-        spec = solve_threshold(0.0, 0.4)
-        assert prox(1.7, spec) == 1.7
+        # values equal the input's; only -0.0 may come back as +0.0
+        rng = np.random.default_rng(6)
+        v = rng.normal(0, 3, 200) * 10.0 ** rng.uniform(-300, 300, 200)
+        v[:6] = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1.7]
+        for nu in (0.1, 0.4, 0.99, 1.0):
+            spec = solve_threshold(0.0, nu)
+            np.testing.assert_array_equal(prox_vector(v.reshape(20, 10), spec).ravel(), v)
+            assert prox(1.7, spec) == 1.7
 
 
 class TestProxVector:

@@ -12,14 +12,20 @@ from qutsparse.qut import (
     QutEstimate,
     _block_statistics,
     _child_states,
+    _class_cdf,
+    _null_block,
     compute_qut,
     depth_scale,
     null_statistic,
-    sample_null,
 )
 
 REG = TaskSpec("regression", 1)
 LIN = Architecture(3, (), 1)
+
+
+def sample_null(task, Y, rng):
+    """One null response draw from rng: the one-draw block of _null_block."""
+    return _null_block(_class_cdf(task, Y), Y.shape, [rng])[:, 0, :]
 
 
 class TestNullStatistic:
