@@ -4,7 +4,8 @@ The first weight matrix is stored and applied as-is; it is the only
 penalized block, and a zero column there means the feature is out of the
 model.  Every deeper weight matrix is stored unnormalized but applied
 with each row divided by its l2 norm, so the deeper layers cannot
-re-inflate shrunken first-layer weights.  The normalization is
+re-inflate shrunken first-layer weights.  An all-zero stored row has norm
+1 by definition, so it applies as zero.  The normalization is
 differentiated, not frozen: gradients of the stored rows are the
 tangential component of the gradients of the applied rows.
 
@@ -126,11 +127,10 @@ def _act_deriv(name, z):
 
 
 def normalize_rows(W):
-    """Applied form of a stored deep matrix plus the row norms.  Zero-norm
-    rows are invalid here; callers repair them first."""
+    """Applied form of a stored deep matrix plus the row norms.  An all-zero
+    row is divided by 1, so it applies as zero."""
     norms = np.sqrt(np.sum(W * W, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm row in a normalized layer")
+    norms[norms == 0.0] = 1.0
     return W / norms[:, None], norms
 
 
@@ -145,35 +145,17 @@ def _norm_backward(V, norms, dV, out=None):
 
 
 def init_params(arch, rng):
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero offsets.
-    All-zero deep rows are redrawn so normalization is defined."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero offsets."""
     widths = arch.widths
     scale1 = 1.0 / np.sqrt(max(widths[0], 1))
     w1 = rng.uniform(-scale1, scale1, size=(widths[1], widths[0]))
     deep = []
     for l in range(1, arch.n_layers):
         s = 1.0 / np.sqrt(widths[l])
-        W = rng.uniform(-s, s, size=(widths[l + 1], widths[l]))
-        while np.any(np.all(W == 0.0, axis=1)):
-            bad = np.all(W == 0.0, axis=1)
-            W[bad] = rng.uniform(-s, s, size=(int(np.sum(bad)), widths[l]))
-        deep.append(W)
+        deep.append(rng.uniform(-s, s, size=(widths[l + 1], widths[l])))
     biases = [np.zeros(widths[l]) for l in range(1, arch.n_layers)]
     intercept = np.zeros(arch.output_dim)
     return NetworkParams(w1=w1, deep=deep, biases=biases, intercept=intercept)
-
-
-def repair_zero_rows(params, rng, scale=1e-3):
-    """Redraw any all-zero stored deep row at a small scale.  Returns the
-    number of repaired rows."""
-    repaired = 0
-    for W in params.deep:
-        norms = np.sqrt(np.sum(W * W, axis=1))
-        bad = norms == 0.0
-        if np.any(bad):
-            W[bad] = rng.uniform(-scale, scale, size=(int(np.sum(bad)), W.shape[1]))
-            repaired += int(np.sum(bad))
-    return repaired
 
 
 def forward_cached(params, arch, X):
@@ -230,8 +212,9 @@ def prune(params, arch):
 
     Feature removal is exact.  Dead-neuron removal absorbs each dead
     neuron's constant activation into the next offset using the applied
-    (normalized) weights; it is exact whenever the dropped columns carry
-    zero weight, which the constant absorption then makes free.  An empty
+    (normalized) weights.  It is exact for each next-layer row whose
+    dropped columns carry zero weight, and for each row fed only by dead
+    neurons, which keeps no weight and so applies as zero.  An empty
     support collapses to the exact constant predictor on zero inputs.
     Returns (pruned_params, pruned_arch, selected_feature_indices) and is
     a no-op (same values) when nothing is droppable.
@@ -255,15 +238,10 @@ def prune(params, arch):
     b1p = params.biases[0][alive]
     V2, _ = normalize_rows(params.deep[0])
     const = V2[:, dead] @ _act(arch.activation, params.biases[0][dead])
-    W2p = V2[:, alive].copy()
-    rn = np.sqrt(np.sum(W2p * W2p, axis=1))
-    if np.any(rn == 0.0):
-        # a next-layer row fed only by dead neurons; give it a unit direction
-        W2p[rn == 0.0] = 1.0 / np.sqrt(W2p.shape[1])
     p_hidden = (alive.size,) + arch.hidden[1:]
     p_arch = Architecture(selected.size, p_hidden, arch.output_dim, arch.activation)
-    p_params = NetworkParams(w1p, (W2p, *params.deep[1:]), (b1p, *params.biases[1:]),
-                             intercept=params.intercept)
+    p_params = NetworkParams(w1p, (V2[:, alive], *params.deep[1:]),
+                             (b1p, *params.biases[1:]), intercept=params.intercept)
     if arch.n_layers == 2:
         p_params.intercept += const
     else:

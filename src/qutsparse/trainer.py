@@ -278,7 +278,6 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         phases.append(_adam_phase(
             params, arch, X, Y, task, cfg, frac * warm_base, nu, WARM_TOL, "warm%d" % i
         ))
-        network.repair_zero_rows(params, rng)
         if phases[-1].stop == STOP_PERFECT:
             break
     else:  # no warm phase reached a perfect fit

@@ -538,6 +538,27 @@ class TestPredict:
         got = np.loadtxt(tmp_path / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(got, forward(params, arch, X))
 
+    def test_zero_deep_row_applies_as_zero(self, tmp_path):
+        train = tmp_path / "train.csv"
+        make_regression_csv(train, n=60, p=4, signal_col=2, seed=3)
+        rc = main(["fit", str(train), "--target", "y", "--hidden", "5,3", "--n-mc", "100",
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        model = json.load(open(tmp_path / "model.json"))
+        deep = model["network"]["deep"]
+        assert deep and model["selected"]
+        deep[0][0] = [0.0] * len(deep[0][0])
+        (tmp_path / "zero.json").write_text(json.dumps(model))
+        rc = main(["predict", str(tmp_path / "zero.json"), str(train),
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        sel = model["selected"]
+        X = np.loadtxt(train, delimiter=",", skiprows=1)[:, [e["index"] for e in sel]]
+        X = (X - [e["mean"] for e in sel]) / [e["std"] for e in sel]
+        params, arch = params_from_dict(model["network"])
+        got = np.loadtxt(tmp_path / "predictions.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(got, forward(params, arch, X))
+
     def test_missing_cells_take_the_stored_mean(self, trained, tmp_path, capsys):
         d, train, model = trained
         (entry,) = model["selected"]

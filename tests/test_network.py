@@ -20,7 +20,6 @@ from qutsparse.network import (
     params_from_dict,
     params_to_dict,
     prune,
-    repair_zero_rows,
 )
 
 REG = TaskSpec("regression", 1)
@@ -209,6 +208,24 @@ class TestPrune:
             forward(pp, pa, X[:, sel]), forward(params, arch, X), atol=1e-12
         )
 
+    def test_output_fed_only_by_dead_neurons_exact(self):
+        # output 0 takes weight only from the dead neurons 1 and 3, output 1
+        # only from the live ones: pruned, output 0's row applies as zero
+        rng = np.random.default_rng(8)
+        arch = Architecture(6, (5,), 2, "relu")
+        params = init_params(arch, rng)
+        params.biases[0][:] = rng.normal(0, 1, 5)
+        params.w1[[1, 3], :] = 0.0
+        params.deep[0][0, [0, 2, 4]] = 0.0
+        params.deep[0][1, [1, 3]] = 0.0
+        pp, pa, sel = prune(params, arch)
+        assert pa.hidden == (3,)
+        np.testing.assert_array_equal(pp.deep[0][0], 0.0)
+        X = rng.normal(0, 1, (50, 6))
+        np.testing.assert_allclose(
+            forward(pp, pa, X[:, sel]), forward(params, arch, X), atol=1e-12
+        )
+
     def test_dead_neuron_constant_absorbed(self):
         # nonzero dropped columns: predictions agree at the hidden-layer
         # mean state even though the restriction renormalizes
@@ -295,17 +312,27 @@ class TestPrune:
 
 
 class TestUtilities:
-    def test_normalize_rows_rejects_zero(self):
-        with pytest.raises(ValueError):
-            normalize_rows(np.array([[0.0, 0.0], [1.0, 2.0]]))
+    def test_zero_row_applies_as_zero(self):
+        V, norms = normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(V, [[0.0, 0.0], [0.6, 0.8]])
+        np.testing.assert_array_equal(norms, [1.0, 5.0])
+        # with norm 1 and V = 0, the stored row's gradient is the applied row's
+        dV = np.array([[0.5, -2.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(_norm_backward(V, norms, dV)[0], dV[0])
 
-    def test_repair_zero_rows(self):
         rng = np.random.default_rng(13)
         arch = Architecture(3, (4, 2), 1)
         params = init_params(arch, rng)
+        params.biases[1][:] = [0.4, 0.7]
         params.deep[0][1, :] = 0.0
-        assert repair_zero_rows(params, rng) == 1
-        assert np.all(np.sqrt(np.sum(params.deep[0] ** 2, axis=1)) > 0.0)
+        X, Y = rng.normal(0, 1, (20, 3)), rng.normal(0, 1, (20, 1))
+        pred, cache = forward_cached(params, arch, X)
+        zs = cache[1]
+        np.testing.assert_array_equal(zs[1][:, 1], 0.7)
+        _, dpred = loss_and_grad(REG, pred, Y)
+        g = backward(params, arch, cache, dpred)
+        assert np.all(np.isfinite(g.flat))
+        assert np.any(g.deep[0][1] != 0.0)
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(14)
