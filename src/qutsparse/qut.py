@@ -14,7 +14,8 @@ nothing else in the estimate is random.  Spawning and hashing 1000 children
 took 10 ms, more than a whole 6.5 ms estimate at 70x250 (x86-64, numpy 2.4),
 so numpy computes only the parent's pool, and the per-child step of its
 hash (the spawn key's mixing and generate_state) runs here for all draws.
-Each block of BLOCK draws is filled in place, one contiguous row per draw.
+Each block of at most BLOCK draws is filled in place, one contiguous row
+per draw.
 """
 
 from dataclasses import dataclass
@@ -203,12 +204,12 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     """Monte Carlo estimate of the null quantile.
 
     Draw i uses the generator of child i of SeedSequence(seed) (see the
-    module docstring), so the samples do not depend on how the draws are
-    grouped into blocks, save one case: a one-draw regression block (which
-    n_mc % BLOCK == 1 forms) sums in another order, so its sample may
-    differ in the last bits.  The quantile is the plain ascending order
-    statistic at ceil((1-alpha)*n_mc), no interpolation.  seed=None draws
-    fresh entropy, which the estimate's seed records.
+    module docstring).  The draws are scored in ceil(n_mc/BLOCK) contiguous
+    blocks of near-equal size, so no block holds a lone draw once
+    n_mc >= 2, and the samples do not depend on how the draws are grouped.
+    The quantile is the plain ascending order statistic at
+    ceil((1-alpha)*n_mc), no interpolation.  seed=None draws fresh
+    entropy, which the estimate's seed records.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be inside (0, 1)")
@@ -223,9 +224,11 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     cdf = _class_cdf(task, Y)
     child_seed = _child_seed_type()
     samples = np.empty(n_mc)
-    for a in range(0, n_mc, BLOCK):
-        gens = [np.random.Generator(np.random.PCG64(child_seed(s))) for s in states[a:a + BLOCK]]
-        samples[a:a + len(gens)] = _block_statistics(X, _null_block(cdf, Y.shape, gens), task, arch)
+    n_blocks = ceil(n_mc / BLOCK)
+    for j in range(n_blocks):
+        a, b = j * n_mc // n_blocks, (j + 1) * n_mc // n_blocks
+        gens = [np.random.Generator(np.random.PCG64(child_seed(s))) for s in states[a:b]]
+        samples[a:b] = _block_statistics(X, _null_block(cdf, Y.shape, gens), task, arch)
     k = ceil((1.0 - alpha) * n_mc)
     lam = float(np.sort(samples)[k - 1])
     return QutEstimate(lambda_qut=lam, alpha=alpha, n_mc=n_mc, seed=entropy, samples=samples)

@@ -1,4 +1,6 @@
+import itertools
 import json
+from math import ceil
 
 import numpy as np
 import pytest
@@ -249,7 +251,7 @@ class TestNullDrawStream:
         np.testing.assert_array_equal(got, expect)
 
     def test_samples_bitwise_equal_block_reference(self):
-        # 70 draws: two full blocks and a ragged one
+        # 70 draws: three blocks of 23, 23 and 24
         rng = np.random.default_rng(12)
         n, p, n_mc = 40, 15, 70
         X = rng.normal(0, 1, (n, p))
@@ -264,20 +266,19 @@ class TestNullDrawStream:
         for task, Y, arch, seed in cases:
             children = np.random.SeedSequence(seed).spawn(n_mc)
             ref = np.empty(n_mc)
-            for a in range(0, n_mc, BLOCK):
-                block = children[a:a + BLOCK]
-                Y0 = np.empty((n, len(block), Y.shape[1]))
-                for i, child in enumerate(block):
+            n_blocks = ceil(n_mc / BLOCK)
+            for j in range(n_blocks):
+                a, b = j * n_mc // n_blocks, (j + 1) * n_mc // n_blocks
+                Y0 = np.empty((n, b - a, Y.shape[1]))
+                for i, child in enumerate(children[a:b]):
                     Y0[:, i, :] = sample_null(task, Y, np.random.default_rng(child))
-                ref[a:a + len(block)] = _block_statistics(X, Y0, task, arch)
+                ref[a:b] = _block_statistics(X, Y0, task, arch)
             got = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=seed)
             np.testing.assert_array_equal(got.samples, ref)
 
     def test_samples_do_not_depend_on_block_size(self, monkeypatch):
-        # no block of one draw forms at n_mc 70: a one-column block sums in
-        # another order, so one regression draw alone may differ in its last bits
         rng = np.random.default_rng(14)
-        n, p, n_mc = 60, 20, 70
+        n, p = 60, 20
         X = rng.normal(0, 1, (n, p))
         cases = [
             (REG, rng.normal(0, 1, (n, 1)), Architecture(p, (10,), 1)),
@@ -285,13 +286,13 @@ class TestNullDrawStream:
             (TaskSpec("classification", 3), np.eye(3)[rng.integers(0, 3, n)],
              Architecture(p, (6,), 3)),
         ]
-        for task, Y, arch in cases:
+        for (task, Y, arch), n_mc in itertools.product(cases, (65, 70)):
             got = {}
-            for block in (7, 32, 64):
+            for block in (3, 7, 32, 64):
                 monkeypatch.setattr(qut, "BLOCK", block)
                 got[block] = compute_qut(X, Y, task, arch, n_mc=n_mc, seed=3).samples
-            np.testing.assert_array_equal(got[7], got[32])
-            np.testing.assert_array_equal(got[64], got[32])
+            for block in (3, 7, 64):
+                np.testing.assert_array_equal(got[block], got[32])
 
 
 class TestGradientBound:
