@@ -30,7 +30,7 @@ class QutEstimate:
     lambda_qut: float
     alpha: float
     n_mc: int
-    seed: object
+    seed: int
     samples: np.ndarray
 
     def to_dict(self):
@@ -38,16 +38,9 @@ class QutEstimate:
             "lambda_qut": float(self.lambda_qut),
             "alpha": float(self.alpha),
             "n_mc": int(self.n_mc),
-            "seed": _json_seed(self.seed),
+            "seed": int(self.seed),
             "samples": [float(s) for s in self.samples],
         }
-
-
-def _json_seed(seed):
-    """A seed as a JSON int, or a list of them for a sequence seed."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return [_json_seed(s) for s in seed]
 
 
 def depth_scale(arch):
@@ -129,14 +122,6 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
-def _n_words(seed):
-    """How many uint32 words SeedSequence takes from a seed: each int's
-    32-bit words (at least one, so 0 is one), a sequence element-wise."""
-    if isinstance(seed, (int, np.integer)):
-        return max(1, -(-int(seed).bit_length() // 32))
-    return sum(_n_words(s) for s in seed)
-
-
 def _hasher(hash_const, mult):
     """numpy's hashmix on uint32 arrays, carrying its running constant
     from call to call as SeedSequence does."""
@@ -159,14 +144,14 @@ def _child_states(entropy, n):
     an (n, 4) uint64 array: row i is
     SeedSequence(entropy).spawn(n)[i].generate_state(4, np.uint64).
 
-    Child i pads the parent's entropy (an int or a sequence of ints) with
-    zeros to the pool size, the value numpy hashes for a missing word,
-    then appends its spawn key i.  So its pool is the parent's until the
-    key, and only the key's mixing and generate_state run here.
+    Child i pads the parent's entropy (an int >= 0) with zeros to the
+    pool size, the value numpy hashes for a missing word, then appends its
+    spawn key i.  So its pool is the parent's until the key, and only the
+    key's mixing and generate_state run here.
     """
     # the parent's pool took 16 hashmix calls (4 words in, 12 cross
-    # mixes), plus 4 for each entropy word past the pool
-    calls = _POOL_SIZE * max(_n_words(entropy), _POOL_SIZE)
+    # mixes), plus 4 for each 32-bit entropy word past the pool
+    calls = _POOL_SIZE * max(-(-int(entropy).bit_length() // 32), _POOL_SIZE)
     hashmix = _hasher(_INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32, _MULT_A)
     key = np.arange(n, dtype=np.uint32)
     # 1-element arrays: uint32 array products wrap silently, scalar ones warn
@@ -208,18 +193,20 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     blocks of near-equal size, so no block holds a lone draw once
     n_mc >= 2, and the samples do not depend on how the draws are grouped.
     The quantile is the plain ascending order statistic at
-    ceil((1-alpha)*n_mc), no interpolation.  seed=None draws fresh
-    entropy, which the estimate's seed records.
+    ceil((1-alpha)*n_mc), no interpolation.  seed is an int >= 0 or
+    None, which draws fresh entropy; the estimate's seed records it.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be inside (0, 1)")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError("seed must be an integer >= 0 or None")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    entropy = np.random.SeedSequence(seed).entropy
+    entropy = int(np.random.SeedSequence(seed).entropy)
     states = _child_states(entropy, n_mc)
     cdf = _class_cdf(task, Y)
     child_seed = _child_seed_type()

@@ -257,12 +257,12 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         raise ValueError("max_phase_iters must be an integer >= 1")
 
     if lambda_qut is None:
-        est = compute_qut(X, Y, task, arch, alpha=cfg.alpha, n_mc=cfg.n_mc, seed=(int(cfg.seed), 1))
+        est = compute_qut(X, Y, task, arch, alpha=cfg.alpha, n_mc=cfg.n_mc, seed=cfg.seed)
         lambda_qut = est.lambda_qut
     lambda_qut = float(lambda_qut)
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0]))
-    params = network.init_params(arch, rng)
+    # SeedSequence(seed)'s children draw the null, its root the weights
+    params = network.init_params(arch, np.random.default_rng(cfg.seed))
 
     # Warm phases anneal at the depth-unscaled level.  The depth factor in
     # the regularization exists to dominate worst-case deep-weight

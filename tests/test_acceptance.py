@@ -238,7 +238,7 @@ def test_null_level_calibration(m):
     # the level alone, no fit: on pure noise the data's own null statistic
     # exceeds compute_qut's level for about alpha = 0.05 of datasets.
     # Dataset i draws X, then the response (uniform labels for m classes),
-    # from SeedSequence([2026, m, i]); the level uses fit's seed (i, 1).
+    # from SeedSequence([2026, m, i]); the level uses fit's seed i.
     # One architecture per task is enough: depth_scale multiplies the
     # statistic and the level alike.
     n, p, n_rep = 50, 100, 800
@@ -250,7 +250,7 @@ def test_null_level_calibration(m):
         X = rng.normal(size=(n, p))
         Y = rng.normal(size=(n, 1)) if m == 1 else np.eye(m)[rng.integers(0, m, n)]
         Xs = (X - X.mean(axis=0)) / X.std(axis=0)
-        level = compute_qut(Xs, Y, task, arch, seed=(i, 1)).lambda_qut
+        level = compute_qut(Xs, Y, task, arch, seed=i).lambda_qut
         exceeded += null_statistic(Xs, Y, task, arch) > level
     # Binomial(800, 0.05) falls below 22 with probability 0.0006 and
     # above 60 with probability 0.0009

@@ -301,6 +301,27 @@ class TestFit:
         assert model["config"]["seed"] == 2
 
 
+@pytest.mark.parametrize("task", ["regression", "3-class"])
+def test_qut_and_fit_share_the_level_of_one_seed(tmp_path, task):
+    train = tmp_path / "train.csv"
+    if task == "regression":
+        make_regression_csv(train)
+        args = ["--target", "y", "--hidden", "20"]
+    else:
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(90, 5))
+        labels = np.array(["lo", "mid", "hi"])[np.digitize(X[:, 1], [-0.5, 0.5])]
+        write_csv_file(train, ["a", "b", "c", "d", "e", "klass"],
+                       [[repr(float(v)) for v in x] + [k] for x, k in zip(X, labels)])
+        args = ["--target", "klass", "--task", "classification", "--hidden", "10"]
+    for command in ("qut", "fit"):
+        rc = main([command, str(train)] + args + ["--n-mc", "200", "--seed", "7",
+                                                  "--output-dir", str(tmp_path / command)])
+        assert rc in (EXIT_OK, EXIT_BUDGET)
+    level = json.load(open(tmp_path / "qut" / "qut.json"))["lambda_qut"]
+    assert json.load(open(tmp_path / "fit" / "model.json"))["lambda_qut"] == level
+
+
 @pytest.fixture(scope="module")
 def cls_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("cls")

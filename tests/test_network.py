@@ -165,6 +165,16 @@ class TestInit:
         for x, y in zip(blocks(a), blocks(b)):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1])
+    def test_root_stream_equals_the_zero_padded_seed(self, seed):
+        # fit draws its initial weights from default_rng(seed); SeedSequence
+        # hashes a missing pool word as 0, so below 2**96 that is the stream
+        # of SeedSequence([seed, 0]) bit for bit
+        arch = Architecture(7, (5, 3), 2, "relu")
+        a = init_params(arch, np.random.default_rng(seed))
+        b = init_params(arch, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+        np.testing.assert_array_equal(a.flat, b.flat)
+
     def test_bounds_and_zero_offsets(self):
         arch = Architecture(9, (4,), 1)
         p = init_params(arch, np.random.default_rng(5))

@@ -5,6 +5,7 @@ from qutsparse import trainer
 from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant
 from qutsparse.network import Architecture, backward, forward, forward_cached, init_params
 from qutsparse.penalty import penalty_slope, penalty_value, prox, prox_vector, solve_threshold
+from qutsparse.qut import compute_qut
 from qutsparse.trainer import (
     FINAL_TOL,
     LAMBDA_FRACTIONS,
@@ -485,6 +486,14 @@ class TestFit:
         b = fit(X, Y, REG, Architecture(25, (), 1), TrainConfig(seed=1))
         assert a.lambda_qut != b.lambda_qut
 
+    @pytest.mark.parametrize("hidden", [(), (10,)])
+    def test_level_is_compute_qut_at_the_fit_seed(self, hidden):
+        X, Y = self.make_linear()
+        arch = Architecture(25, hidden, 1)
+        for seed in (0, 7, np.int64(2**32 + 1)):
+            res = fit(X, Y, REG, arch, TrainConfig(n_mc=200, seed=seed))
+            assert res.lambda_qut == compute_qut(X, Y, REG, arch, n_mc=200, seed=seed).lambda_qut
+
     def test_empty_support_becomes_null_constant(self):
         rng = np.random.default_rng(np.random.SeedSequence([0, 12]))
         X = rng.normal(0, 1, (60, 30))
@@ -518,7 +527,7 @@ class TestFit:
         rng_data = np.random.default_rng(21)
         X = rng_data.normal(0, 1, (30, 5))
         arch = Architecture(5, (4,), 1, "relu")
-        init_rng = np.random.default_rng(np.random.SeedSequence([7, 0]))
+        init_rng = np.random.default_rng(7)
         params = init_params(arch, init_rng)
         Y = forward(params, arch, X)
         res = fit(X, Y, REG, arch, TrainConfig(seed=7), lambda_qut=1.0)

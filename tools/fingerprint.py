@@ -19,7 +19,7 @@ after the kept ones.
 To show that a change leaves every output as it was, run the script on
 both checkouts (``--src`` pointing at each ``src/``) and diff the two
 printouts.  The exit status is 1 when any command exited with a code other
-than 0 or 5 (the budget exit, which the two 3-class fits take), else 0.
+than 0 or 5 (the budget exit), else 0.
 Every command runs with this process's environment, so under
 ``PYTHONWARNINGS=error`` a warning fails the command that raised it.
 """
