@@ -54,8 +54,6 @@ def _hidden_type(text):
         widths = tuple(int(w) for w in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated widths, got %r" % text)
-    if any(w < 1 for w in widths):
-        raise argparse.ArgumentTypeError("hidden widths must be positive")
     return widths
 
 
@@ -132,11 +130,9 @@ def _widths(value):
 
 # One row per option: the flag's argparse type, the converter applied to
 # the flag, config or default value, the check on the converted value, the
-# rule a usage error states, the default, the help text and, for an option
-# with a fixed set of values, those values.  The config keys are exactly
-# these names; the flag is --name with '-' for '_'.
-Option = namedtuple("Option", "flag_type convert check rule default help choices",
-                    defaults=(None,))
+# rule that a usage error and --help state, the default and the help text.
+# The config keys are exactly these names; the flag is --name with '-' for '_'.
+Option = namedtuple("Option", "flag_type convert check rule default help")
 
 TASKS = ("regression", "classification")
 
@@ -149,13 +145,13 @@ def _count(default, help):
 OPTIONS = {
     "seed": Option(int, _integer, lambda k: k >= 0, "an integer >= 0", 0, "base seed"),
     "task": Option(str, str, TASKS.__contains__, "regression or classification",
-                   "regression", "kind of target", TASKS),
+                   "regression", "kind of target"),
     "hidden": Option(_hidden_type, _widths, lambda ws: all(w >= 1 for w in ws),
                      "a list of positive widths", (20,),
-                     "comma-separated hidden widths; 'none' for a linear net"),
+                     "comma-separated hidden widths or 'none' for a linear net"),
     "activation": Option(str, str, ACTIVATIONS.__contains__,
                          "one of %s" % ", ".join(ACTIVATIONS), "relu",
-                         "hidden-layer activation", ACTIVATIONS),
+                         "hidden-layer activation"),
     "alpha": Option(float, _real, lambda a: 0.0 < a < 1.0, "a number in (0, 1)", 0.05,
                     "null quantile level"),
     "n_mc": _count(1000, "Monte Carlo draws for the null quantile"),
@@ -316,7 +312,7 @@ def cmd_fit(args):
             "  phase %-8s lam=%-12s nu=%-5s iters=%-5d cost %s -> %s"
             % (
                 ph.name,
-                "-" if ph.lam is None else "%.6g" % ph.lam,
+                "%.6g" % ph.lam,
                 "-" if ph.nu is None else "%.2g" % ph.nu,
                 ph.iterations,
                 "-" if ph.initial_cost is None else "%.6g" % ph.initial_cost,
@@ -453,14 +449,13 @@ def cmd_simulate(args):
     opts = _options(args, _load_config(args.config), "simulate")
     n, p, n_runs = args.n, args.p, opts["runs"]
     try:
-        for s in args.s:
-            ScenarioSpec(args.kind, n, p, s, n_test=opts["n_test"], n_runs=n_runs,
-                         seed=opts["seed"])
+        specs = [ScenarioSpec(args.kind, n, p, s, n_test=opts["n_test"], n_runs=n_runs,
+                              seed=opts["seed"]) for s in args.s]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "scenario": {"kind": args.kind, "n": n, "p": p, "s_grid": args.s,
                      "n_test": opts["n_test"], "n_runs": n_runs, "seed": opts["seed"]},
         "arch": {"hidden": list(opts["hidden"]), "activation": opts["activation"]},
@@ -476,10 +471,8 @@ def cmd_simulate(args):
     # the trial identity is on disk before the first trial, for --resume
     _write_json(manifest_path, manifest)
     rows, _records = sweep(
-        args.kind, n, p, args.s,
-        hidden=opts["hidden"], activation=opts["activation"], n_runs=n_runs,
-        n_test=opts["n_test"], seed=opts["seed"], alpha=opts["alpha"], n_mc=opts["n_mc"],
-        jobs=opts["jobs"], records_path=records_path, done=done,
+        specs, hidden=opts["hidden"], activation=opts["activation"], alpha=opts["alpha"],
+        n_mc=opts["n_mc"], jobs=opts["jobs"], records_path=records_path, done=done,
     )
     wall = time.monotonic() - t0
 
@@ -504,8 +497,7 @@ def _add_options(parser, command):
         if isinstance(default, tuple):
             default = ",".join(map(str, default)) or "none"
         parser.add_argument("--" + name.replace("_", "-"), dest=name, type=opt.flag_type,
-                            choices=opt.choices, default=None,
-                            help="%s (default %s)" % (opt.help, default))
+                            help="%s: %s (default %s)" % (opt.help, opt.rule, default))
 
 
 def build_parser():
@@ -544,7 +536,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", parents=[output],
                            help="run a synthetic support-recovery sweep")
-    p_sim.add_argument("kind", choices=SCENARIO_KINDS)
+    p_sim.add_argument("kind", help="scenario: one of %s" % ", ".join(SCENARIO_KINDS))
     p_sim.add_argument("--n", type=int, required=True, help="training rows per trial")
     p_sim.add_argument("--p", type=int, required=True, help="feature count")
     p_sim.add_argument("--s", type=_s_grid_type, required=True,
@@ -570,7 +562,7 @@ def main(argv=None):
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -67,11 +67,10 @@ def _mu_star(kind, Xs, beta=None):
         for i in range(0, Xs.shape[1], 2):
             total += 10.0 * np.abs(Xs[:, i + 1] - Xs[:, i])
         return total
-    if kind == "nestedabs":
-        return 10.0 * np.abs(
-            np.abs(Xs[:, 1] - Xs[:, 0]) - np.abs(Xs[:, 3] - Xs[:, 2])
-        )
-    raise ValueError(kind)
+    # nestedabs, the one kind left: ScenarioSpec admits no other
+    return 10.0 * np.abs(
+        np.abs(Xs[:, 1] - Xs[:, 0]) - np.abs(Xs[:, 3] - Xs[:, 2])
+    )
 
 
 def _trial_seeds(spec, run_index):
@@ -160,18 +159,18 @@ def _worker(cell, hidden, activation, alpha, n_mc):
         return {"s": int(spec.s), "run": int(run_index), "error": str(exc)}
 
 
-def aggregate(records, s_grid, n_runs):
-    """Per-s summary rows from the full (possibly failure-bearing) record set."""
+def aggregate(records, specs):
+    """One summary row per spec from the full (possibly failure-bearing) record set."""
     rows = []
-    for s in s_grid:
-        good = [r for r in records if r["s"] == s and "error" not in r]
-        failures = sum(1 for r in records if r["s"] == s and "error" in r)
+    for spec in specs:
+        good = [r for r in records if r["s"] == spec.s and "error" not in r]
+        failures = sum(1 for r in records if r["s"] == spec.s and "error" in r)
         if good:
             agg = metrics(good)
         else:
             agg = {"pesr": float("nan"), "fdr": float("nan"),
                    "tpr": float("nan"), "mean_l2": float("nan")}
-        row = {"s": int(s), "n_runs": int(n_runs), "failures": failures}
+        row = {"s": spec.s, "n_runs": spec.n_runs, "failures": failures}
         row.update(agg)
         rows.append(row)
     return rows
@@ -218,10 +217,10 @@ def read_records(path):
     return done
 
 
-def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
-          n_test=1000, seed=0, alpha=0.05, n_mc=1000, jobs=1,
+def sweep(specs, hidden=(), activation="relu", alpha=0.05, n_mc=1000, jobs=1,
           records_path=None, done=None):
-    """Run the grid's cells and return (rows, records).
+    """Run trials 0 to n_runs - 1 of each spec (one scenario, distinct s)
+    and return (rows, records), one row per spec in their order.
 
     done holds the records to keep, keyed by (s, run), as read_records
     returns them: the sweep runs only the other cells and appends their
@@ -229,12 +228,9 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
     The summary rows are always rebuilt from the sorted records of this
     grid, so the CSV is byte-identical for any jobs value or resume split.
     """
-    s_grid = sorted(set(int(s) for s in s_grid))
-    specs = [ScenarioSpec(kind=kind, n=n, p=p, s=s, n_test=n_test, n_runs=n_runs, seed=seed)
-             for s in s_grid]
     mode = "w" if done is None else "a"
     done = done or {}
-    grid = [(spec, run) for spec in specs for run in range(n_runs)]
+    grid = [(spec, run) for spec in specs for run in range(spec.n_runs)]
     kept = [done[spec.s, run] for spec, run in grid if (spec.s, run) in done]
     cells = [(spec, run) for spec, run in grid if (spec.s, run) not in done]
     trial = partial(_worker, hidden=tuple(hidden), activation=activation,
@@ -261,5 +257,5 @@ def sweep(kind, n, p, s_grid, hidden=(), activation="relu", n_runs=25,
                 sink.flush()
 
     records = sorted(kept + fresh, key=_record_key)
-    rows = aggregate(records, s_grid, n_runs)
+    rows = aggregate(records, specs)
     return rows, records

@@ -82,7 +82,6 @@ class FitResult:
     phases: list
     status: str
     train_loss: float
-    task: object
 
     def predict(self, X):
         """Predictions on a matrix with the training feature columns; only
@@ -304,5 +303,4 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         phases=phases,
         status=_status(phases),
         train_loss=float(train_loss),
-        task=task,
     )

@@ -260,14 +260,15 @@ def test_null_level_calibration(m):
            " alpha 0.05)" % (exceeded, n_rep))
 
 
+LINEAR_SPECS = [ScenarioSpec("linear", 70, 250, s, n_test=1000, n_runs=25, seed=2026)
+                for s in (0, 1, 2, 5, 10, 20)]
+
+
 @pytest.fixture(scope="module")
 def linear_sweep(tmp_path_factory):
     d = tmp_path_factory.mktemp("linear_sweep")
-    rows, _ = sweep(
-        "linear", 70, 250, [0, 1, 2, 5, 10, 20], hidden=(), n_runs=25,
-        n_test=1000, seed=2026, n_mc=1000, jobs=1,
-        records_path=str(d / "records.jsonl"),
-    )
+    rows, _ = sweep(LINEAR_SPECS, hidden=(), n_mc=1000, jobs=1,
+                    records_path=str(d / "records.jsonl"))
     write_csv(rows, d / "sweep.csv")
     return d, rows
 
@@ -315,11 +316,8 @@ def test_depth_helps_nested_target():
 
 def test_parallelism_invariance(linear_sweep, tmp_path):
     d, _ = linear_sweep
-    rows2, _ = sweep(
-        "linear", 70, 250, [0, 1, 2, 5, 10, 20], hidden=(), n_runs=25,
-        n_test=1000, seed=2026, n_mc=1000, jobs=2,
-        records_path=str(tmp_path / "records.jsonl"),
-    )
+    rows2, _ = sweep(LINEAR_SPECS, hidden=(), n_mc=1000, jobs=2,
+                     records_path=str(tmp_path / "records.jsonl"))
     write_csv(rows2, tmp_path / "sweep.csv")
     same = (d / "sweep.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
     report("jobs-invariance", same,

@@ -72,9 +72,12 @@ def case_id(case):
 
 BAD_QUT_OPTIONS = [("--alpha", "2"), ("--alpha", "0"), ("--n-mc", "0"), {"alpha": 1.5},
                    {"n_mc": -3}, {"alpha": "high"}]
+# network flags that argparse parses and the option table rejects
+BAD_NETWORK_FLAGS = [("--activation", "tanh"), ("--hidden", "0"), ("--hidden", "20,-1")]
 # seed, network and task options of qut and fit
 BAD_DATASET_OPTIONS = [("--seed", "-1"), {"hidden": "20"}, {"hidden": 20},
-                       {"activation": "tanh"}, {"task": "foo"}]
+                       {"activation": "tanh"}, {"task": "foo"},
+                       ("--task", "foo")] + BAD_NETWORK_FLAGS
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,43 @@ class TestQut:
         rc = main(["qut", str(train), "--target", "y", "--output-dir", str(tmp_path / "out")]
                   + bad_option_args(tmp_path, case))
         assert_usage_error(rc, capsys, tmp_path / "out" / "qut.json")
+
+    TRAINING_FAULTS = [
+        ("missing", ["--target", "y"], "cannot read "),
+        ("blank-lines", ["--target", "y"], ": no rows"),
+        ("five-columns", ["--target", "9"], "target index 9 out of range for 5 columns"),
+        ("no-header", ["--target", "y", "--no-header"],
+         "target given by name ('y') but the file has no header"),
+        ("one-label", ["--target", "y", "--task", "classification"], "has a single label"),
+        ("one-column", ["--target", "y"], "need a target and at least one feature column"),
+        ("constant-features", ["--target", "y"], "no usable feature columns"),
+        ("config-missing", ["--target", "y"], "cannot read config "),
+        ("config-not-json", ["--target", "y"], "is not valid JSON"),
+    ]
+
+    @pytest.mark.parametrize("fault,args,named", TRAINING_FAULTS,
+                             ids=[fault for fault, _, _ in TRAINING_FAULTS])
+    def test_bad_training_file_is_data_error(self, tmp_path, capsys, fault, args, named):
+        train = tmp_path / "train.csv"
+        if fault == "blank-lines":
+            train.write_text("\n \n\n")
+        elif fault == "one-label":
+            write_csv_file(train, ["a", "b", "y"], [[i, i * i % 7, "x"] for i in range(10)])
+        elif fault == "one-column":
+            write_csv_file(train, ["y"], [[i] for i in range(10)])
+        elif fault == "constant-features":
+            write_csv_file(train, ["a", "b", "y"], [[1, 2, i] for i in range(10)])
+        elif fault != "missing":
+            make_regression_csv(train, p=4, signal_col=0)
+        if fault.startswith("config-"):
+            if fault == "config-not-json":
+                (tmp_path / "cfg.json").write_text("{")
+            args = args + ["--config", str(tmp_path / "cfg.json")]
+        rc = main(["qut", str(train), "--output-dir", str(tmp_path / "out")] + args)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+        assert named in err, err
+        assert not (tmp_path / "out" / "qut.json").exists()
 
     def test_nonnumeric_cell_names_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -539,6 +579,31 @@ class TestPredict:
         assert named in err, err
         assert not (tmp_path / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("fault,named", [
+        ("not-json", "is not valid JSON"), ("format-2", "unsupported format_version 2"),
+    ])
+    def test_unreadable_model_is_data_error(self, trained, tmp_path, capsys, fault, named):
+        d, train, model = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text("{" if fault == "not-json" else json.dumps(dict(model, format_version=2)))
+        rc = main(["predict", str(bad), str(train), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+        assert named in err, err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_headerless_file_narrower_than_a_feature_index(self, trained, tmp_path, capsys):
+        d, train, model = trained
+        index = max(e["index"] for e in model["selected"])
+        assert index >= 1
+        write_csv_file(tmp_path / "narrow.csv", None, [[0.5] * index] * 5)
+        rc = main(["predict", str(d / "model.json"), str(tmp_path / "narrow.csv"),
+                   "--no-header", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert "expects column %d but file has %d columns" % (index, index) in err, err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_headerless_file_matched_by_index(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         make_regression_csv(train, n=50, p=4, signal_col=2, seed=3, header=False)
@@ -719,6 +784,38 @@ class TestSimulate:
         assert err.startswith("usage error: --resume into a sweep of another scenario"), err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_resume_into_a_manifest_without_arch_is_data_error(self, swept, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(swept, out)
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        del manifest["arch"]
+        (out / "sweep_manifest.json").write_text(json.dumps(manifest))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(self.resume_argv(out)) == EXIT_DATA
+        assert "lacks field 'arch'" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_resume_into_an_empty_directory_runs_the_grid(self, swept, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self.resume_argv(out)) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == (swept / "sweep.csv").read_bytes()
+
+    def test_failed_trials_are_recorded_and_counted(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(simlab, "run_trial", boom)
+        out = tmp_path / "out"
+        assert main(self.resume_argv(out, [("--runs", "2")], resume=False)) == EXIT_OK
+        records = [json.loads(line) for line in open(out / "sweep_records.jsonl")]
+        assert len(records) == 6 and all(rec["error"] == "boom" for rec in records)
+        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        assert [(row["s"], row["n_runs"], row["failures"]) for row in rows] == [
+            ("0", "2", "2"), ("1", "2", "2"), ("2", "2", "2")]
+        assert all(np.isnan(float(row[col])) for row in rows
+                   for col in ("pesr", "fdr", "tpr", "mean_l2"))
+
     def test_resume_may_add_and_drop_levels_and_runs(self, swept, tmp_path):
         grown = [("--s", "0:3"), ("--runs", "2")]
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -753,8 +850,13 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + [
-        {"runs": "x"}, {"hidden": ["a"]}, ("--jobs", "0"), ("--jobs", "-3"),
+    def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
+        rc = main(["simulate", "cubic", "--s", "0,1", "--jobs", "1",
+                   "--output-dir", str(tmp_path / "out")] + self.ARGS)
+        assert_usage_error(rc, capsys, tmp_path / "out" / "sweep_manifest.json")
+
+    @pytest.mark.parametrize("case", BAD_QUT_OPTIONS + BAD_NETWORK_FLAGS + [
+        {"runs": "x"}, {"hidden": ["a"]}, ("--jobs", "0"), ("--jobs", "-3"), ("--n", "1"),
     ], ids=case_id)
     def test_bad_option_is_usage_error(self, tmp_path, capsys, case):
         # no --runs flag, so a config "runs" entry is read

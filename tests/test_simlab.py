@@ -183,9 +183,11 @@ class TestTrials:
         rec = run_trial(spec, 1, hidden=(5,), n_mc=50)
         assert rec["l2_hat"] == float(np.mean((pred - mu_test) ** 2))
 
+    def specs(self):
+        return [self.spec(s=0), self.spec(s=1)]
+
     def test_sweep_rows_and_cell_recompute(self):
-        rows, records = sweep("linear", 40, 8, [0, 1], n_runs=2, n_test=50,
-                              seed=0, n_mc=50)
+        rows, records = sweep(self.specs(), n_mc=50)
         assert [r["s"] for r in rows] == [0, 1]
         assert all(r["n_runs"] == 2 and r["failures"] == 0 for r in rows)
         # any cell recomputed in isolation matches the sweep's record
@@ -194,9 +196,8 @@ class TestTrials:
         assert match == [lone]
 
     def test_sweep_jobs_invariance(self, tmp_path):
-        kwargs = dict(n_runs=2, n_test=50, seed=0, n_mc=50)
-        rows1, _ = sweep("linear", 40, 8, [0, 1], jobs=1, **kwargs)
-        rows2, _ = sweep("linear", 40, 8, [0, 1], jobs=2, **kwargs)
+        rows1, _ = sweep(self.specs(), n_mc=50, jobs=1)
+        rows2, _ = sweep(self.specs(), n_mc=50, jobs=2)
         assert rows1 == rows2
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(rows1, p1)
@@ -205,14 +206,12 @@ class TestTrials:
 
     def test_sweep_resume_completes_missing_cells(self, tmp_path):
         rec_path = tmp_path / "records.jsonl"
-        rows_full, records_full = sweep("linear", 40, 8, [0, 1], n_runs=2,
-                                        n_test=50, seed=0, n_mc=50)
+        rows_full, records_full = sweep(self.specs(), n_mc=50)
         # write only the first record, then resume
         with open(rec_path, "w") as fh:
             fh.write(json.dumps(records_full[0], sort_keys=True) + "\n")
         rows_resumed, records_resumed = sweep(
-            "linear", 40, 8, [0, 1], n_runs=2, n_test=50, seed=0, n_mc=50,
-            records_path=str(rec_path), done=read_records(rec_path),
+            self.specs(), n_mc=50, records_path=str(rec_path), done=read_records(rec_path),
         )
         assert rows_resumed == rows_full
         assert records_resumed == records_full
@@ -225,7 +224,7 @@ class TestTrials:
              "l2_hat": 1.0},
             {"s": 0, "run": 1, "error": "boom"},
         ]
-        rows = aggregate(recs, [0], 2)
+        rows = aggregate(recs, [self.spec(s=0)])
         assert rows[0]["failures"] == 1
         assert rows[0]["pesr"] == 1.0
         assert rows[0]["mean_l2"] == 1.0
