@@ -49,7 +49,7 @@ def loss_and_grad(task, pred, Y):
 
     For regression the gradient is the normalized negative residual; at an
     exactly zero residual the loss is nondifferentiable and the zero
-    subgradient is returned (the caller treats that as a perfect fit).
+    subgradient is returned, which avoids a 0/0.
     """
     pred = np.asarray(pred, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

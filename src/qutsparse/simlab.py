@@ -43,16 +43,16 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError("unknown scenario kind %r" % (self.kind,))
-        if self.n < 2 or self.p < 1 or self.n_test < 1 or self.n_runs < 1:
-            raise ValueError("n, p, n_test, n_runs must be positive (n >= 2)")
+        for name, low in (("n", 2), ("p", 1), ("n_test", 1), ("n_runs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError("%s must be an integer >= %d, got %s" % (name, low, value))
         if not 0 <= self.s <= self.p:
-            raise ValueError("s must lie in [0, p]")
+            raise ValueError("s must lie in [0, %s], got %s" % (self.p, self.s))
         if self.kind == "absdiff" and self.s % 2 != 0:
-            raise ValueError("absdiff needs an even s")
+            raise ValueError("absdiff needs an even s, got %s" % self.s)
         if self.kind == "nestedabs" and self.s not in (0, 4):
-            raise ValueError("nestedabs needs s = 4 (or 0 for the null)")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError("nestedabs needs s = 4 (or 0 for the null), got %s" % self.s)
 
 
 def _mu_star(kind, Xs, beta=None):

@@ -24,14 +24,12 @@ from .qut import compute_qut, depth_scale
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERS = "MaxIters"
-STATUS_PERFECT = "PerfectFit"
 
 # Why a phase stopped: relative cost change below its tolerance, update
-# budget used up, exactly zero regression residual, or no line-search
-# step that descends at float resolution.
+# budget used up, or no line-search step that descends at float
+# resolution.
 STOP_CONVERGED = "converged"
 STOP_BUDGET = "budget"
-STOP_PERFECT = "perfect"
 STOP_STALLED = "stalled"
 
 # The annealing path is part of the method.  The shape parameter of each
@@ -136,9 +134,9 @@ def ista_step(params, grads, spec, step):
 def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
     """Adam on the data loss plus lam times the penalty on w1 at shape nu,
     with the penalty's subgradient (zero at zero); nu=None drops the
-    penalty term.  Stops when the relative cost change falls below tol,
-    on an exactly zero regression residual, or after cfg.max_phase_iters
-    updates.  Updates params in place and returns its PhaseRecord."""
+    penalty term.  Stops when the relative cost change falls below tol or
+    after cfg.max_phase_iters updates.  Updates params in place and
+    returns its PhaseRecord."""
     adam = _Adam(params.flat.size)
     g = params.like(np.empty_like(params.flat))
     prev = None
@@ -154,9 +152,6 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
             initial = cost
         if it == cfg.max_phase_iters:
             stop = STOP_BUDGET
-            break
-        if task.kind == "regression" and ls == 0.0:
-            stop = STOP_PERFECT
             break
         if prev is not None and abs(cost - prev) / max(1.0, prev) < tol:
             stop = STOP_CONVERGED
@@ -182,23 +177,20 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
         pred, cache = network.forward_cached(p, arch, X)
         ls, dpred = loss_and_grad(task, pred, Y)
         cost = ls + lam * float(penalty_value(p.w1, nu).sum())
-        return cost, ls, dpred, cache
+        return cost, dpred, cache
 
-    cur, ls, dpred, cache = evaluate(params)
+    cur, dpred, cache = evaluate(params)
     g = params.like(np.empty_like(params.flat))
     initial = cur
     step = 1.0
     updates = 0
     stop = STOP_BUDGET
     for _ in range(cfg.max_phase_iters):
-        if task.kind == "regression" and ls == 0.0:
-            stop = STOP_PERFECT
-            break
         network.backward(params, arch, cache, dpred, out=g)
         trial = step
         for k in range(31):
             cand = ista_step(params, g, spec, trial)
-            cand_cost, cand_ls, cand_dpred, cand_cache = evaluate(cand)
+            cand_cost, cand_dpred, cand_cache = evaluate(cand)
             if cand_cost <= cur + 1e-12 * max(1.0, abs(cur)):
                 break
             trial *= 0.5
@@ -206,7 +198,7 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
             # no descent representable at float resolution
             stop = STOP_STALLED
             break
-        params, ls, dpred, cache = cand, cand_ls, cand_dpred, cand_cache
+        params, dpred, cache = cand, cand_dpred, cand_cache
         updates += 1
         improve = (cur - cand_cost) / max(1.0, cur)
         cur = cand_cost
@@ -218,13 +210,9 @@ def _final_phase(params, arch, X, Y, task, lam, nu, cfg):
 
 
 def _status(phases):
-    """PerfectFit if any phase reached a zero residual, else MaxIters if
-    any used up its budget, else Converged (a stalled line search
-    included)."""
-    stops = {ph.stop for ph in phases}
-    if STOP_PERFECT in stops:
-        return STATUS_PERFECT
-    if STOP_BUDGET in stops:
+    """MaxIters if any phase used up its budget, else Converged (a stalled
+    line search included)."""
+    if any(ph.stop == STOP_BUDGET for ph in phases):
         return STATUS_MAX_ITERS
     return STATUS_CONVERGED
 
@@ -234,8 +222,8 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
 
     Returns a FitResult holding the pruned network, the selected feature
     indices (into X's columns), the regularization level, per-phase
-    records, and a status: Converged, MaxIters if any phase exhausted its
-    budget, or PerfectFit on an exactly zero regression residual.
+    records, and a status: MaxIters if any phase exhausted its budget,
+    else Converged.
     """
     cfg = config if config is not None else TrainConfig()
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -277,22 +265,18 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         phases.append(_adam_phase(
             params, arch, X, Y, task, cfg, frac * warm_base, nu, WARM_TOL, "warm%d" % i
         ))
-        if phases[-1].stop == STOP_PERFECT:
-            break
-    else:  # no warm phase reached a perfect fit
-        params, rec = _final_phase(params, arch, X, Y, task, lambda_qut, NU_SCHEDULE[-1], cfg)
-        phases.append(rec)
+    params, rec = _final_phase(params, arch, X, Y, task, lambda_qut, NU_SCHEDULE[-1], cfg)
+    phases.append(rec)
 
     pruned, parch, selected = network.prune(params, arch)
     Xs = X[:, selected]
-    if phases[-1].stop != STOP_PERFECT:
-        if selected.size == 0:
-            pruned.intercept[...] = null_constant(task, Y)
-            phases.append(PhaseRecord("refit", 0.0, None, 0, None, None, STOP_CONVERGED))
-        else:
-            phases.append(_adam_phase(
-                pruned, parch, Xs, Y, task, cfg, 0.0, None, FINAL_TOL, "refit"
-            ))
+    if selected.size == 0:
+        pruned.intercept[...] = null_constant(task, Y)
+        phases.append(PhaseRecord("refit", 0.0, None, 0, None, None, STOP_CONVERGED))
+    else:
+        phases.append(_adam_phase(
+            pruned, parch, Xs, Y, task, cfg, 0.0, None, FINAL_TOL, "refit"
+        ))
 
     train_loss = loss_value(task, network.forward(pruned, parch, Xs), Y)
     return FitResult(

@@ -277,15 +277,20 @@ def test_sparsity_phase_transition(linear_sweep):
     _, rows = linear_sweep
     by_s = {r["s"]: r for r in rows}
     se3 = 3.0 * np.sqrt(0.95 * 0.05 / 25)
+    # pesr at s=5 and s=10 tells the annealed nonconvex penalty from a
+    # lasso at the same level, which recovers about 0.2 and 0.0 there
     ok = (
         by_s[1]["pesr"] >= 0.8
+        and by_s[5]["pesr"] >= 0.8
+        and by_s[10]["pesr"] >= 0.6
         and by_s[20]["pesr"] <= 0.2
         and abs(by_s[0]["pesr"] - 0.95) <= se3
     )
     report("phase-transition", ok,
-           "pesr(s=1)=%.2f (>=0.8), pesr(s=20)=%.2f (<=0.2), pesr(s=0)=%.2f"
-           " (within %.3f of 0.95)" % (by_s[1]["pesr"], by_s[20]["pesr"],
-                                       by_s[0]["pesr"], se3))
+           "pesr(s=1)=%.2f (>=0.8), pesr(s=5)=%.2f (>=0.8), pesr(s=10)=%.2f (>=0.6),"
+           " pesr(s=20)=%.2f (<=0.2), pesr(s=0)=%.2f (within %.3f of 0.95)"
+           % (by_s[1]["pesr"], by_s[5]["pesr"], by_s[10]["pesr"], by_s[20]["pesr"],
+              by_s[0]["pesr"], se3))
 
 
 def test_nonlinear_recovery():

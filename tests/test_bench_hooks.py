@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qutsparse.cli  # noqa: F401  (imports every module the tracer patches)
+from qutsparse import trainer
 from qutsparse.losses import TaskSpec
 from qutsparse.network import Architecture
 from qutsparse.trainer import TrainConfig
@@ -14,17 +15,17 @@ from qutsparse.trainer import TrainConfig
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_exists():
     """perfbench/tracing.py wraps each (module, name) of LAYER_FUNCTIONS by
     getattr at install, so a renamed function breaks `run.py --trace 1`."""
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     missing = [(module, name) for module, name in tracing.LAYER_FUNCTIONS.values()
                if not callable(getattr(importlib.import_module("qutsparse." + module), name,
                                        None))]
@@ -38,7 +39,7 @@ def test_tracer_reads_the_arguments_and_results_of_a_fit(hidden):
     fit's phases); a changed signature would zero them or raise."""
     modules = {name.rsplit(".", 1)[-1]: mod for name, mod in sys.modules.items()
                if name == "qutsparse" or name.startswith("qutsparse.")}
-    tracer = load_tracing().Tracer(modules, oracle_stride=10)
+    tracer = load_perfbench("tracing").Tracer(modules, oracle_stride=10)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 6))
     Y = (2.0 * X[:, 0] - X[:, 3] + rng.normal(size=40))[:, None]
@@ -53,3 +54,11 @@ def test_tracer_reads_the_arguments_and_results_of_a_fit(hidden):
     assert min(counts.values()) > 0, counts
     sparsify = [ph.iterations for ph in res.phases if ph.name == "sparsify"]
     assert [counts["trainer.linesearch.sparsify_iters"]] == sparsify
+
+
+def test_every_fit_status_passes_the_sweep_check():
+    """perfbench/run.py fails a sweep op whose record status is not in
+    Sweep.STATUSES, and counts maxiters_frac by the literal "MaxIters"."""
+    statuses = {value for name, value in vars(trainer).items() if name.startswith("STATUS_")}
+    assert statuses and statuses <= set(load_perfbench("run").Sweep.STATUSES)
+    assert trainer.STATUS_MAX_ITERS == "MaxIters"

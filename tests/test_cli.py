@@ -207,7 +207,7 @@ class TestFit:
     def test_model_contents(self, trained):
         d, train, model = trained
         assert model["format_version"] == 1
-        assert model["status"] in ("Converged", "PerfectFit")
+        assert model["status"] == "Converged"
         assert [e["name"] for e in model["selected"]] == ["f4"]
         assert model["task"] == "regression"
         assert model["labels"] is None
@@ -844,11 +844,19 @@ class TestSimulate:
                    for name in runs}
         assert records["config"] == records["flags"] != records["both"]
 
-    def test_invalid_scenario_is_usage_error(self, tmp_path, capsys):
-        rc = main(["simulate", "absdiff", "--s", "3", "--jobs", "1",
-                   "--output-dir", str(tmp_path)] + self.ARGS)
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("linear", ["--s", "0,1", "--n", "1"], "n must be an integer >= 2, got 1"),
+        ("linear", ["--s", "9"], "s must lie in [0, 8], got 9"),
+        ("absdiff", ["--s", "3"], "absdiff needs an even s, got 3"),
+        ("nestedabs", ["--s", "2"], "nestedabs needs s = 4 (or 0 for the null), got 2"),
+    ], ids=["n", "s", "absdiff", "nestedabs"])
+    def test_invalid_scenario_is_usage_error(self, tmp_path, capsys, kind, extra, message):
+        # the extra flags come last, so they override ARGS
+        rc = main(["simulate", kind, "--jobs", "1", "--output-dir", str(tmp_path / "out")]
+                  + self.ARGS + extra)
         assert rc == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+        assert not (tmp_path / "out" / "sweep_manifest.json").exists()
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "cubic", "--s", "0,1", "--jobs", "1",
