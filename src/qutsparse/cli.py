@@ -315,8 +315,8 @@ def cmd_fit(args):
                 "%.6g" % ph.lam,
                 "-" if ph.nu is None else "%.2g" % ph.nu,
                 ph.iterations,
-                "-" if ph.initial_cost is None else "%.6g" % ph.initial_cost,
-                "-" if ph.final_cost is None else "%.6g" % ph.final_cost,
+                "%.6g" % ph.initial_cost,
+                "%.6g" % ph.final_cost,
             )
         )
     print("wrote %s" % path)
@@ -470,7 +470,7 @@ def cmd_simulate(args):
     done = read_records(records_path) if args.resume else None
     # the trial identity is on disk before the first trial, for --resume
     _write_json(manifest_path, manifest)
-    rows, _records = sweep(
+    rows, records = sweep(
         specs, hidden=opts["hidden"], activation=opts["activation"], alpha=opts["alpha"],
         n_mc=opts["n_mc"], jobs=opts["jobs"], records_path=records_path, done=done,
     )
@@ -485,6 +485,10 @@ def cmd_simulate(args):
     for row in rows:
         print("%10d %10d %10.3f %10.3f %10.3f %10.4g %10d" % tuple(row[c] for c in CSV_COLUMNS))
     print("wrote %s" % csv_path)
+    budget = sum(rec.get("status") == STATUS_MAX_ITERS for rec in records)
+    if budget:
+        print("warning: %d of %d trials ended in %s (status in sweep_records.jsonl)"
+              % (budget, len(records), STATUS_MAX_ITERS), file=sys.stderr)
     return EXIT_OK
 
 
@@ -531,7 +535,7 @@ def build_parser():
                             help="apply a model file to a feature CSV")
     p_pred.add_argument("model", help="model.json written by fit")
     p_pred.add_argument("data", help="CSV file with the selected feature columns")
-    p_pred.add_argument("--no-header", action="store_true")
+    p_pred.add_argument("--no-header", action="store_true", help="the file has no header row")
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", parents=[output],

@@ -18,7 +18,7 @@ Each block of at most BLOCK draws is filled in place, one contiguous row
 per draw.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from math import ceil, prod
 
@@ -34,13 +34,7 @@ class QutEstimate:
     samples: np.ndarray
 
     def to_dict(self):
-        return {
-            "lambda_qut": float(self.lambda_qut),
-            "alpha": float(self.alpha),
-            "n_mc": int(self.n_mc),
-            "seed": int(self.seed),
-            "samples": [float(s) for s in self.samples],
-        }
+        return dict(asdict(self), samples=self.samples.tolist())
 
 
 def depth_scale(arch):
@@ -218,4 +212,5 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
         samples[a:b] = _block_statistics(X, _null_block(cdf, Y.shape, gens), task, arch)
     k = ceil((1.0 - alpha) * n_mc)
     lam = float(np.sort(samples)[k - 1])
-    return QutEstimate(lambda_qut=lam, alpha=alpha, n_mc=n_mc, seed=entropy, samples=samples)
+    return QutEstimate(lambda_qut=lam, alpha=float(alpha), n_mc=int(n_mc), seed=entropy,
+                       samples=samples)

@@ -127,9 +127,8 @@ def run_trial(spec, run_index, hidden=(), activation="relu", alpha=0.05, n_mc=10
 
 
 def metrics(records):
-    """Aggregate one sparsity level's successful trial records."""
-    if not records:
-        raise ValueError("no records to aggregate")
+    """Aggregate one sparsity level's successful trial records; NaN for
+    every metric when there are none."""
     pesr = fdr = tpr = l2 = 0.0
     for rec in records:
         true = set(rec["true_support"])
@@ -141,7 +140,7 @@ def metrics(records):
         else:
             tpr += 1.0 if not est else 0.0
         l2 += rec["l2_hat"]
-    k = len(records)
+    k = len(records) or float("nan")
     return {
         "pesr": pesr / k,
         "fdr": fdr / k,
@@ -165,13 +164,8 @@ def aggregate(records, specs):
     for spec in specs:
         good = [r for r in records if r["s"] == spec.s and "error" not in r]
         failures = sum(1 for r in records if r["s"] == spec.s and "error" in r)
-        if good:
-            agg = metrics(good)
-        else:
-            agg = {"pesr": float("nan"), "fdr": float("nan"),
-                   "tpr": float("nan"), "mean_l2": float("nan")}
         row = {"s": spec.s, "n_runs": spec.n_runs, "failures": failures}
-        row.update(agg)
+        row.update(metrics(good))
         rows.append(row)
     return rows
 

@@ -64,7 +64,7 @@ class PhaseRecord:
 
     name: str
     lam: float
-    nu: float
+    nu: float  # None for the unpenalized refit
     iterations: int  # parameter updates applied
     initial_cost: float
     final_cost: float
@@ -272,13 +272,14 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
     Xs = X[:, selected]
     if selected.size == 0:
         pruned.intercept[...] = null_constant(task, Y)
-        phases.append(PhaseRecord("refit", 0.0, None, 0, None, None, STOP_CONVERGED))
+        cost = float(loss_value(task, network.forward(pruned, parch, Xs), Y))
+        phases.append(PhaseRecord("refit", 0.0, None, 0, cost, cost, STOP_CONVERGED))
     else:
         phases.append(_adam_phase(
             pruned, parch, Xs, Y, task, cfg, 0.0, None, FINAL_TOL, "refit"
         ))
 
-    train_loss = loss_value(task, network.forward(pruned, parch, Xs), Y)
+    # the refit prices the returned parameters before it stops
     return FitResult(
         params=pruned,
         arch=parch,
@@ -286,5 +287,5 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         lambda_qut=lambda_qut,
         phases=phases,
         status=_status(phases),
-        train_loss=float(train_loss),
+        train_loss=phases[-1].final_cost,
     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -315,11 +316,18 @@ class TestFit:
         assert model["phases"] == [asdict(ph) for ph in results[0].phases]
         stops = [ph.stop for ph in results[0].phases]
         assert (STOP_BUDGET in stops) == (budget == "3")
+        # the refit record holds the training loss, and no cost is missing
+        assert results[0].train_loss == results[0].phases[-1].final_cost
+        assert model["train_loss"] == model["phases"][-1]["final_cost"]
+        assert all(isinstance(ph[k], float) for ph in model["phases"]
+                   for k in ("initial_cost", "final_cost"))
         if budget == "empty":
+            # the skipped refit records the constant model's loss
             assert model["selected"] == []
             assert model["phases"][-1] == {
                 "name": "refit", "lam": 0.0, "nu": None, "iterations": 0,
-                "initial_cost": None, "final_cost": None, "stop": "converged"}
+                "initial_cost": model["train_loss"], "final_cost": model["train_loss"],
+                "stop": "converged"}
 
     def test_config_file_defaults_and_override(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -710,6 +718,22 @@ class TestSimulate:
         assert rc == EXIT_OK
         assert (part / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
 
+    def test_warns_of_budget_exits(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "linear", "--s", "0", "--jobs", "1"] + self.ARGS
+        assert main(argv + ["--output-dir", str(tmp_path / "clean")]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        run_trial = simlab.run_trial
+
+        def one_budget_exit(spec, run_index, **kwargs):
+            rec = run_trial(spec, run_index, **kwargs)
+            return dict(rec, status="MaxIters") if run_index == 0 else rec
+
+        monkeypatch.setattr(simlab, "run_trial", one_budget_exit)
+        assert main(argv + ["--output-dir", str(tmp_path / "budget")]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert warnings == ["warning: 1 of 2 trials ended in MaxIters "
+                            "(status in sweep_records.jsonl)"]
+
     RESUME = {"kind": "linear", "--n": "30", "--p": "12", "--s": "0:2", "--runs": "1",
               "--n-mc": "50", "--jobs": "1"}
 
@@ -964,6 +988,13 @@ class TestOptionTable:
             flag = re.search(r"--%s\b(?!-)" % name.replace("_", "-"), text)
             assert bool(flag) == (name in cli.COMMAND_OPTIONS[command]), name
         assert "--config" in text
+
+    def test_every_option_has_help_text(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        bare = ["%s %s" % (command, action.dest) for command, p in subparsers.choices.items()
+                for action in p._actions if not action.help]
+        assert bare == []
 
 
 class TestHoldout:

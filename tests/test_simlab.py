@@ -150,9 +150,10 @@ class TestMetrics:
         for key in ("pesr", "fdr", "tpr"):
             assert 0.0 <= out[key] <= 1.0
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            metrics([])
+    def test_empty_gives_nan(self):
+        out = metrics([])
+        assert set(out) == {"pesr", "fdr", "tpr", "mean_l2"}
+        assert all(np.isnan(v) for v in out.values())
 
 
 class TestTrials:
@@ -223,11 +224,16 @@ class TestTrials:
             {"s": 0, "run": 0, "true_support": [], "estimated_support": [],
              "l2_hat": 1.0},
             {"s": 0, "run": 1, "error": "boom"},
+            {"s": 1, "run": 0, "error": "boom"},
+            {"s": 1, "run": 1, "error": "boom"},
         ]
-        rows = aggregate(recs, [self.spec(s=0)])
+        rows = aggregate(recs, [self.spec(s=0), self.spec(s=1)])
         assert rows[0]["failures"] == 1
         assert rows[0]["pesr"] == 1.0
         assert rows[0]["mean_l2"] == 1.0
+        # a level whose every trial failed has no metric to report
+        assert rows[1]["failures"] == 2
+        assert all(np.isnan(rows[1][key]) for key in ("pesr", "fdr", "tpr", "mean_l2"))
 
     def test_csv_format(self, tmp_path):
         rows = [{"s": 0, "n_runs": 2, "pesr": 0.5, "fdr": 0.0, "tpr": 1.0,

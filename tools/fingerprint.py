@@ -42,8 +42,8 @@ ABSDIFF_GRID = ["simulate", "absdiff", "--n", "100", "--p", "10", "--s", "0:2:4"
                 "--runs", "2"]
 
 # label -> argv, run in this order from the parent of the output
-# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf} and {cr}
-# name the generated CSVs
+# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf}, {cr} and
+# {noise} name the generated CSVs
 COMMANDS = {
     "grid-jobs1": README_GRID + ["--jobs", "1"],
     "grid-jobs2": README_GRID + ["--jobs", "2"],
@@ -65,6 +65,9 @@ COMMANDS = {
                    "--hidden", "10"],
     "absdiff-jobs1": ABSDIFF_GRID + ["--jobs", "1"],
     "absdiff-jobs2": ABSDIFF_GRID + ["--jobs", "2"],
+    # pure noise: the fit selects no feature and skips its refit
+    "fit-noise": ["fit", "{noise}", "--target", "y", "--hidden", "20"],
+    "predict-noise": ["predict", "fit-noise/model.json", "{noise}"],
 }
 
 
@@ -81,7 +84,8 @@ def write_inputs(directory):
     3-class file, a 300x80 regression file, held-out files of 40 and 60
     rows drawn as the first two are, an 80x6 regression file with no
     header, the target in column 3, CRLF line ends and none after the last
-    row, and a 50x5 regression file with lone-CR line ends.  Each file is
+    row, a 50x5 regression file with lone-CR line ends, and a 60x6
+    regression file whose target is independent noise.  Each file is
     drawn after the ones before it, so adding one leaves their bytes as
     they were."""
     rng = np.random.default_rng(20241117)
@@ -106,8 +110,10 @@ def write_inputs(directory):
     X = rng.normal(size=(50, 5))
     _write_csv(directory / "cr.csv", X, X[:, 1] - 0.5 * X[:, 4] + 0.3 * rng.normal(size=50), "y",
                end="\r")
+    X = rng.normal(size=(60, 6))
+    _write_csv(directory / "noise.csv", X, rng.normal(size=60), "y")
     return {name: directory / ("%s.csv" % name)
-            for name in ("reg", "cls", "wide", "reg_test", "cls_test", "crlf", "cr")}
+            for name in ("reg", "cls", "wide", "reg_test", "cls_test", "crlf", "cr", "noise")}
 
 
 def _strip(value):
