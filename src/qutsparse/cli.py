@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import DataError, ScoringFile, load_training
-from .losses import TaskSpec
+from .losses import TASKS, TaskSpec
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
 from .simlab import CSV_COLUMNS, SCENARIO_KINDS, ScenarioSpec, read_records, sweep, write_csv
@@ -64,19 +64,12 @@ def _s_grid_type(text):
         if not part:
             continue
         try:
-            if ":" in part:
-                nums = [int(x) for x in part.split(":")]
-                if len(nums) == 2:
-                    lo, step, hi = nums[0], 1, nums[1]
-                elif len(nums) == 3:
-                    lo, step, hi = nums
-                else:
-                    raise ValueError
-                if step < 1 or hi < lo:
-                    raise ValueError
-                vals.extend(range(lo, hi + 1, step))
-            else:
-                vals.append(int(part))
+            # lo[:step]:hi, with step 1 if left out; a level s is the range s:s
+            nums = [int(x) for x in part.split(":")]
+            lo, step, hi = (nums[0], 1, nums[-1]) if len(nums) < 3 else nums
+            if step < 1 or hi < lo:
+                raise ValueError
+            vals.extend(range(lo, hi + 1, step))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "bad sparsity grid %r; use '0,1,5', '0:25', or '0:2:20'" % text
@@ -99,10 +92,6 @@ def _read_json(path, what):
     if not isinstance(value, dict):
         raise DataError("%s %s must hold a JSON object" % (what, path))
     return value
-
-
-def _load_config(path):
-    return {} if path is None else _read_json(path, "config")
 
 
 def _real(value):
@@ -133,8 +122,6 @@ def _widths(value):
 # rule that a usage error and --help state, the default and the help text.
 # The config keys are exactly these names; the flag is --name with '-' for '_'.
 Option = namedtuple("Option", "flag_type convert check rule default help")
-
-TASKS = ("regression", "classification")
 
 
 def _count(default, help):
@@ -173,12 +160,14 @@ COMMAND_OPTIONS = {
 COMMAND_DEFAULTS = {"simulate": {"hidden": ()}}
 
 
-def _options(args, config, command):
-    """Every option of command, from its flag, else the config, else its default.
+def _options(args, command):
+    """Every option of command, from its flag, else the --config file, else
+    its default.
 
     UsageError for a config key that names no option (of any command, so
     one file serves them all) and for a value that fails its check.
     """
+    config = {} if args.config is None else _read_json(args.config, "config")
     unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
         raise UsageError("unknown config key(s): %s" % ", ".join(map(repr, unknown)))
@@ -242,7 +231,7 @@ def _selected_entries(ds, selected):
 
 
 def cmd_qut(args):
-    opts = _options(args, _load_config(args.config), "qut")
+    opts = _options(args, "qut")
     ds, task, arch = _ingest(args, opts)
     est = compute_qut(ds.X, ds.Y, task, arch, alpha=opts["alpha"], n_mc=opts["n_mc"],
                       seed=opts["seed"])
@@ -270,7 +259,7 @@ def cmd_qut(args):
 
 
 def cmd_fit(args):
-    opts = _options(args, _load_config(args.config), "fit")
+    opts = _options(args, "fit")
     ds, task, arch = _ingest(args, opts)
     # the held-out file is read and checked before the fit, which only
     # its selected columns wait for
@@ -446,7 +435,7 @@ def _check_resume(path, manifest):
 
 
 def cmd_simulate(args):
-    opts = _options(args, _load_config(args.config), "simulate")
+    opts = _options(args, "simulate")
     n, p, n_runs = args.n, args.p, opts["runs"]
     try:
         specs = [ScenarioSpec(args.kind, n, p, s, n_test=opts["n_test"], n_runs=n_runs,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TASKS = ("regression", "classification")
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -24,7 +26,7 @@ class TaskSpec:
     n_outputs: int
 
     def __post_init__(self):
-        if self.kind not in ("regression", "classification"):
+        if self.kind not in TASKS:
             raise ValueError("kind must be 'regression' or 'classification'")
         if self.kind == "classification" and self.n_outputs < 2:
             raise ValueError("classification needs at least 2 classes")

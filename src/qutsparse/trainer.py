@@ -93,18 +93,16 @@ class _Adam:
     updated in place through two scratch vectors of its own."""
 
     def __init__(self, size):
-        self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._a = np.empty(size)
         self._b = np.empty(size)
 
-    def step(self, x, g):
-        # x -= lr * (m / c1) / (sqrt(v / c2) + eps), one rounding per
-        # operation in the order written
-        self.t += 1
-        c1 = 1.0 - ADAM_BETA1 ** self.t
-        c2 = 1.0 - ADAM_BETA2 ** self.t
+    def step(self, x, g, t):
+        # update number t >= 1: x -= lr * (m / c1) / (sqrt(v / c2) + eps),
+        # one rounding per operation in the order written
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         m, v, a, b = self.m, self.v, self._a, self._b
         np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m *= ADAM_BETA1
@@ -160,9 +158,9 @@ def _adam_phase(params, arch, X, Y, task, cfg, lam, nu, tol, name):
         if nu is not None:
             slope *= lam
             g.w1 += slope
-        adam.step(params.flat, g.flat)
+        adam.step(params.flat, g.flat, it + 1)
         prev = cost
-    return PhaseRecord(name, lam, nu, adam.t, float(initial), float(cost), stop)
+    return PhaseRecord(name, lam, nu, it, float(initial), float(cost), stop)
 
 
 def _final_phase(params, arch, X, Y, task, lam, nu, cfg):

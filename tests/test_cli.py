@@ -100,6 +100,21 @@ class TestGridParsing:
         assert _s_grid_type("0:2:6") == [0, 2, 4, 6]
         assert _s_grid_type("3,0:2") == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("text, want", [
+        ("5", [5]), ("2:2", [2]), (" 3 , 1:2 ", [1, 2, 3]), ("0:25,", list(range(26))),
+        ("1,1,1:2", [1, 2])])
+    def test_level_is_a_one_point_range(self, text, want):
+        # empty parts are skipped and repeated levels kept once
+        assert _s_grid_type(text) == want
+
+    @pytest.mark.parametrize("text, message", [
+        (",", "empty sparsity grid"), ("", "empty sparsity grid"),
+        ("1:2:3:4", "bad sparsity grid"), ("3:", "bad sparsity grid"),
+        ("0:0:5", "bad sparsity grid")])
+    def test_bad_grid_message(self, text, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _s_grid_type(text)
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "linear", "--n", "40", "--p", "8", "--s", "5:1",

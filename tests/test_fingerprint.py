@@ -52,3 +52,17 @@ def test_digest_ignores_volatile_fields_and_record_order(tmp_path):
     a.write_text('{"s": 0}\n{"s": 1}\n')
     b.write_text('{"s": 1}\n{"s": 0}\n')
     assert fp.digest(a) == fp.digest(b)
+
+
+def test_cells_input_takes_the_cell_reader(tmp_path):
+    # fit-cells reaches data._cell_table: the one-pass reader declines a
+    # quoted header name, and the NA cell is imputed
+    from qutsparse import data
+
+    fp = load_tool()
+    inputs = fp.write_inputs(tmp_path)
+    text = inputs["cells"].read_text()
+    assert data._loadtxt_table(text, "y", True, "regression") is None
+    ds = data.load_training(str(inputs["cells"]), "y")
+    assert ds.imputed == 1 and ds.feature_names == ["x%d" % j for j in range(6)]
+    assert json.loads(inputs["cfg"].read_text()) == fp.CONFIG

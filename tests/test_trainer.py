@@ -147,13 +147,13 @@ class TestFlatUpdates:
         ref = flat.copy()
         adam = _Adam(flat.flat.size)
         ref_adam = PerBlockAdam(blocks(ref), WARM_LR)
-        for _ in range(50):
+        for t in range(1, 51):
             for p, opt in ((flat, adam), (ref, ref_adam)):
                 pred, cache = forward_cached(p, arch, X)
                 _, dpred = loss_and_grad(REG, pred, Y)
                 g = backward(p, arch, cache, dpred)
                 if opt is adam:
-                    opt.step(p.flat, g.flat)
+                    opt.step(p.flat, g.flat, t)
                 else:
                     opt.step(blocks(p), blocks(g))
             np.testing.assert_array_equal(flat.flat, ref.flat)

@@ -42,8 +42,8 @@ ABSDIFF_GRID = ["simulate", "absdiff", "--n", "100", "--p", "10", "--s", "0:2:4"
                 "--runs", "2"]
 
 # label -> argv, run in this order from the parent of the output
-# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf}, {cr} and
-# {noise} name the generated CSVs
+# directories; {reg}, {cls}, {wide}, {reg_test}, {cls_test}, {crlf}, {cr},
+# {noise} and {cells} name the generated CSVs and {cfg} the config file
 COMMANDS = {
     "grid-jobs1": README_GRID + ["--jobs", "1"],
     "grid-jobs2": README_GRID + ["--jobs", "2"],
@@ -68,7 +68,18 @@ COMMANDS = {
     # pure noise: the fit selects no feature and skips its refit
     "fit-noise": ["fit", "{noise}", "--target", "y", "--hidden", "20"],
     "predict-noise": ["predict", "fit-noise/model.json", "{noise}"],
+    # a quoted header name and a missing cell: read cell by cell, one imputed
+    "fit-cells": ["fit", "{cells}", "--target", "y", "--hidden", "none"],
+    "fit-config": ["fit", "{reg}", "--target", "y", "--config", "{cfg}"],
+    "fit-leaky": ["fit", "{reg}", "--target", "y", "--hidden", "10", "--activation", "leaky_relu"],
+    # both sparsify and refit stop on their budget: exit 5
+    "fit-budget": ["fit", "{reg}", "--target", "y", "--hidden", "20", "--max-phase-iters", "30"],
+    # separable classes: the refit uses its whole budget, exit 5
+    "fit-3class-linear": ["fit", "{cls}", "--target", "label", "--task", "classification",
+                          "--hidden", "none"],
 }
+# the config file of fit-config
+CONFIG = {"hidden": [10], "activation": "softplus", "n_mc": 200}
 
 
 def _write_csv(path, X, y, target, end="\n"):
@@ -84,10 +95,12 @@ def write_inputs(directory):
     3-class file, a 300x80 regression file, held-out files of 40 and 60
     rows drawn as the first two are, an 80x6 regression file with no
     header, the target in column 3, CRLF line ends and none after the last
-    row, a 50x5 regression file with lone-CR line ends, and a 60x6
-    regression file whose target is independent noise.  Each file is
-    drawn after the ones before it, so adding one leaves their bytes as
-    they were."""
+    row, a 50x5 regression file with lone-CR line ends, a 60x6
+    regression file whose target is independent noise, and a 60x6
+    regression file drawn as the first is, with its header name x1 in
+    quotes and one feature cell NA.  Each file is drawn after the ones
+    before it, so adding one leaves their bytes as they were.  Also the
+    config file CONFIG, as cfg."""
     rng = np.random.default_rng(20241117)
     X = rng.normal(size=(60, 6))
     _write_csv(directory / "reg.csv", X, 2.0 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=60), "y")
@@ -112,8 +125,19 @@ def write_inputs(directory):
                end="\r")
     X = rng.normal(size=(60, 6))
     _write_csv(directory / "noise.csv", X, rng.normal(size=60), "y")
-    return {name: directory / ("%s.csv" % name)
-            for name in ("reg", "cls", "wide", "reg_test", "cls_test", "crlf", "cr", "noise")}
+    X = rng.normal(size=(60, 6))
+    cells = directory / "cells.csv"
+    _write_csv(cells, X, 2.0 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=60), "y")
+    lines = cells.read_text().split("\n")
+    lines[0] = lines[0].replace("x1", '"x1"')
+    row = lines[8].split(",")
+    row[2] = "NA"
+    lines[8] = ",".join(row)
+    cells.write_text("\n".join(lines))
+    (directory / "cfg.json").write_text(json.dumps(CONFIG))
+    inputs = {name: directory / ("%s.csv" % name) for name in
+              ("reg", "cls", "wide", "reg_test", "cls_test", "crlf", "cr", "noise", "cells")}
+    return dict(inputs, cfg=directory / "cfg.json")
 
 
 def _strip(value):
