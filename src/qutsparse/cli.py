@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import DataError, ScoringFile, load_training
-from .losses import TASKS, TaskSpec
+from .losses import TASKS, TaskSpec, softmax
 from .network import ACTIVATIONS, Architecture, forward, params_from_dict, params_to_dict
 from .qut import compute_qut
 from .simlab import CSV_COLUMNS, SCENARIO_KINDS, ScenarioSpec, read_records, sweep, write_csv
@@ -331,12 +331,6 @@ def _score_holdout(holdout, res, selected, labels):
     return "test accuracy = %.4f  (%d rows)" % (acc, len(got))
 
 
-def _softmax(pred):
-    m = np.max(pred, axis=1, keepdims=True)
-    e = np.exp(pred - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _is_feature(entry):
     """Whether entry is a selected-feature object as fit writes it: its
     mean a finite float and its std a finite, positive one.  NaN fails
@@ -397,7 +391,7 @@ def cmd_predict(args):
         labels = model["labels"]
         header = ["label"] + ["p_%s" % lab for lab in labels]
         rows = ([labels[k]] + probs for k, probs in
-                zip(np.argmax(pred, axis=1).tolist(), _softmax(pred).tolist()))
+                zip(np.argmax(pred, axis=1).tolist(), softmax(pred)[0].tolist()))
     else:
         header = ["y_hat"] if pred.shape[1] == 1 else ["y_hat_%d" % j for j in range(pred.shape[1])]
         rows = pred.tolist()

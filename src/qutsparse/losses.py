@@ -4,8 +4,8 @@ Regression uses the square root of the summed squared residuals rather
 than the sum itself.  That choice makes the ratio statistic behind the
 automatic regularization level independent of the noise scale, which is
 what lets one null quantile serve every dataset.  Classification uses
-the summed cross entropy with the softmax folded in.  Both losses are
-defined once, in loss_and_grad; loss_value is its value half.
+the summed cross entropy of softmax(pred), which predict reuses.  Both
+losses are defined once, in loss_and_grad; loss_value is its value half.
 """
 
 import math
@@ -66,13 +66,18 @@ def loss_and_grad(task, pred, Y):
         np.negative(R, out=R)
         R /= val
         return val, R
-    # stabilized log-sum-exp; subtracting the row max leaves the value exact
+    P, logz = softmax(pred)
+    val = float(np.sum(logz) - np.sum(pred * Y))
+    return val, P - Y
+
+
+def softmax(pred):
+    """Row probabilities and row log normalizers of (n, k) logits, by the
+    stabilized log-sum-exp: subtracting the row max leaves both exact."""
     m = np.max(pred, axis=1, keepdims=True)
     e = np.exp(pred - m)
     s = np.sum(e, axis=1, keepdims=True)
-    logz = m[:, 0] + np.log(s[:, 0])
-    val = float(np.sum(logz) - np.sum(pred * Y))
-    return val, e / s - Y
+    return e / s, m[:, 0] + np.log(s[:, 0])
 
 
 def null_constant(task, Y):

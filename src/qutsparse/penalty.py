@@ -2,11 +2,13 @@
 proximal operator.
 
 The penalty ``|t| / (1 + |t|**(1 - nu))`` interpolates between half the
-absolute value at nu = 1 and an l0-like shape as nu drops toward 0.  Its
-univariate prox is a thresholding rule with a discontinuity: below the
-threshold the minimizer is exactly 0, just above it the minimizer jumps
-to a positive value.  Threshold and jump solve a two-equation system
-that only depends on (lam, nu), so they are computed once and cached.
+absolute value at nu = 1 and an l0-like shape as nu drops toward 0.  One
+kernel computes it and its slope; penalty_value and penalty_slope are
+the kernel's two halves.  The penalty's univariate prox is a thresholding
+rule with a discontinuity: below the threshold the minimizer is exactly
+0, just above it the minimizer jumps to a positive value.  Threshold and
+jump solve a two-equation system that only depends on (lam, nu), so they
+are computed once and cached.
 
 Above the threshold every entry needs its own bracketed Newton
 root-find, with a data-dependent iteration count.  One vectorized numpy
@@ -39,31 +41,11 @@ def _validate(lam, nu):
         raise ValueError("nu must lie in (0, 1], got %r" % nu)
 
 
-def penalty_value(theta, nu):
-    """Elementwise penalty.  Works on scalars and arrays; nu = 1 reduces to
-    |theta| / 2 because |theta|**0 evaluates to 1."""
-    _validate(0.0, nu)
-    a = np.abs(theta)
-    return a / (1.0 + a ** (1.0 - nu))
-
-
-def penalty_slope(theta, nu):
-    """Derivative of the penalty for theta != 0, with the subgradient choice
-    0 at theta = 0 (np.sign supplies it).
-
-    Training calls penalty_value_and_slope instead.  This one stays as an
-    exported name, as the bit-for-bit oracle of that function in
-    tests/test_penalty.py, and because perfbench/tracing.py wraps it by name.
-    """
-    _validate(0.0, nu)
-    t = np.abs(theta) ** (1.0 - nu)
-    return np.sign(theta) * (1.0 + nu * t) / (1.0 + t) ** 2
-
-
 def penalty_value_and_slope(theta, nu):
-    """penalty_value and penalty_slope of a float array from one shared
-    |theta|**(1 - nu); each result equals its single-purpose counterpart
-    bit for bit."""
+    """Elementwise penalty of a float array, and its slope: the derivative
+    for theta != 0, with the subgradient choice 0 at theta = 0 (np.sign
+    supplies it).  Both come from one shared |theta|**(1 - nu); nu = 1
+    gives |theta| / 2 because |theta|**0 evaluates to 1."""
     _validate(0.0, nu)
     a = np.abs(theta)
     t = a ** (1.0 - nu)
@@ -76,6 +58,23 @@ def penalty_value_and_slope(theta, nu):
     np.multiply(d, d, out=d)
     t /= d
     return value, t
+
+
+def _half(theta, nu, k):
+    """Result k of penalty_value_and_slope, in the shape of any real input."""
+    x = np.asarray(theta)
+    x = x.astype(np.result_type(x, 1.0), copy=False)
+    return penalty_value_and_slope(np.atleast_1d(x), nu)[k].reshape(x.shape)[()]
+
+
+def penalty_value(theta, nu):
+    """The value half of penalty_value_and_slope, for scalars and arrays."""
+    return _half(theta, nu, 0)
+
+
+def penalty_slope(theta, nu):
+    """The slope half of penalty_value_and_slope, for scalars and arrays."""
+    return _half(theta, nu, 1)
 
 
 def _solve_jump(lam, nu):

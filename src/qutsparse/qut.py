@@ -185,7 +185,8 @@ def compute_qut(X, Y, task, arch, alpha=0.05, n_mc=1000, seed=0):
     Draw i uses the generator of child i of SeedSequence(seed) (see the
     module docstring).  The draws are scored in ceil(n_mc/BLOCK) contiguous
     blocks of near-equal size, so no block holds a lone draw once
-    n_mc >= 2, and the samples do not depend on how the draws are grouped.
+    n_mc >= 2, and at a fixed BLAS thread count the samples do not depend
+    on how the draws are grouped; a threaded GEMM may move their last bits.
     The quantile is the plain ascending order statistic at
     ceil((1-alpha)*n_mc), no interpolation.  seed is an int >= 0 or
     None, which draws fresh entropy; the estimate's seed records it.

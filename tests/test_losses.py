@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant
+from qutsparse.losses import TaskSpec, loss_and_grad, loss_value, null_constant, softmax
 
 REG = TaskSpec("regression", 1)
 CLS2 = TaskSpec("classification", 2)
@@ -80,6 +80,20 @@ class TestClassificationLoss:
         e = np.exp(pred - pred.max(axis=1, keepdims=True))
         sm = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(g, sm - Y, rtol=1e-12)
+
+    def test_loss_and_predict_share_one_softmax(self):
+        # the gradient is softmax's probabilities minus the target, bit for
+        # bit; (P - Y) + Y would round a probability below 0.5 on its label
+        rng = np.random.default_rng(10)
+        Y = np.eye(3)[rng.integers(0, 3, 40)]
+        pred = rng.normal(0, 3, (40, 3))
+        P, logz = softmax(pred)
+        val, g = loss_and_grad(TaskSpec("classification", 3), pred, Y)
+        assert g.tobytes() == (P - Y).tobytes()
+        assert val == float(np.sum(logz) - np.sum(pred * Y))
+        e = np.exp(pred - pred.max(axis=1, keepdims=True))
+        assert P.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        np.testing.assert_allclose(logz, np.log(np.sum(np.exp(pred), axis=1)), rtol=1e-14)
 
 
 def reference_loss(task, pred, Y):

@@ -56,6 +56,22 @@ def _prox_magnitudes_py(z, lam, nu, phi, kappa):
     return out
 
 
+# The penalty and its slope as two formulas of their own: the oracle that
+# penalty_value_and_slope is held to bit for bit.
+def _value_formula(theta, nu):
+    a = np.abs(theta)
+    return a / (1.0 + a ** (1.0 - nu))
+
+
+def _slope_formula(theta, nu):
+    t = np.abs(theta) ** (1.0 - nu)
+    return np.sign(theta) * (1.0 + nu * t) / (1.0 + t) ** 2
+
+
+def _bits(x):
+    return np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes()
+
+
 def objective(theta, y, lam, nu):
     return 0.5 * (y - theta) ** 2 + lam * penalty_value(theta, nu)
 
@@ -66,6 +82,8 @@ class TestPenaltyValue:
         assert penalty_value(4.0, 1.0) == pytest.approx(2.0)
         assert penalty_value(0.0, 0.3) == 0.0
         assert penalty_value(-1.0, 0.5) == pytest.approx(0.5)
+        np.testing.assert_allclose(penalty_value(np.array([1, -2]), 0.5),
+                                   [0.5, 2.0 / (1.0 + np.sqrt(2.0))], rtol=1e-15)
 
     def test_nu_one_is_half_abs(self):
         t = np.linspace(-5, 5, 101)
@@ -102,17 +120,36 @@ class TestPenaltyValue:
             fd = (penalty_value(t + h, nu) - penalty_value(t - h, nu)) / (2 * h)
             np.testing.assert_allclose(penalty_slope(t, nu), fd, rtol=1e-6)
 
-    @pytest.mark.parametrize("nu", NU_SCHEDULE)
+    @pytest.mark.parametrize("nu", NU_SCHEDULE + (1.0,))
     def test_shared_power_matches_value_and_slope_bitwise(self, nu):
         rng = np.random.default_rng(12)
         w1 = rng.normal(0, 1, (8, 30))
         w1[:, ::3] = 0.0
         w1[0, :5] = [-0.0, -1e-300, 1e-300, -3.5, 7.0]
         value, slope = penalty_value_and_slope(w1, nu)
-        assert np.sum(value) == np.sum(penalty_value(w1, nu))
-        np.testing.assert_array_equal(value, penalty_value(w1, nu))
-        np.testing.assert_array_equal(slope, penalty_slope(w1, nu))
+        assert _bits(value) == _bits(_value_formula(w1, nu))
+        assert _bits(slope) == _bits(_slope_formula(w1, nu))
+        assert _bits(penalty_value(w1, nu)) == _bits(value)
+        assert _bits(penalty_slope(w1, nu)) == _bits(slope)
         assert np.all(slope[w1 == 0.0] == 0.0) and np.any(slope < 0.0)
+
+    @pytest.mark.parametrize("half", [penalty_value, penalty_slope])
+    def test_halves_keep_the_input_shape(self, half):
+        for x in (1.0, -2.5, np.array(-2.5), np.float64(0.0)):
+            got = half(x, 0.1)
+            assert type(got) is np.float64
+            # a scalar gets the bits of the same entry in an array
+            assert got == half(np.array([x]), 0.1)[0]
+        w = np.random.default_rng(13).normal(0, 1, (3, 4))
+        assert half(w, 0.4).shape == (3, 4) and half(w[None], 0.4).shape == (1, 3, 4)
+        assert half(w.T, 0.4).tobytes() == np.ascontiguousarray(half(w, 0.4).T).tobytes()
+        assert half(np.zeros((0, 3)), 0.4).shape == (0, 3)
+        # ints and lists come out as floats
+        for x in (np.array([1, -2]), [1, -2], [1.0, -2.0]):
+            got = half(x, 0.5)
+            assert got.dtype == np.float64
+            assert _bits(got) == _bits(half(np.array([1.0, -2.0]), 0.5))
+        assert half(np.ones(2, np.float32), 0.5).dtype == np.float32
 
     def test_validation(self):
         with pytest.raises(ValueError):
