@@ -196,10 +196,6 @@ def _make_output_dir(path):
         raise UsageError("--output-dir %s: %s" % (path, exc)) from exc
 
 
-def _out_path(args, name):
-    return os.path.join(args.output_dir, name)
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -251,7 +247,7 @@ def cmd_qut(args):
             "created_at": _timestamp(),
         }
     )
-    path = _out_path(args, "qut.json")
+    path = os.path.join(args.output_dir, "qut.json")
     _write_json(path, payload)
     print("lambda_qut = %r  (alpha=%g, n_mc=%d)" % (est.lambda_qut, opts["alpha"], opts["n_mc"]))
     print("wrote %s" % path)
@@ -288,7 +284,7 @@ def cmd_fit(args):
         "dropped_columns": ds.dropped,
         "created_at": _timestamp(),
     }
-    path = _out_path(args, "model.json")
+    path = os.path.join(args.output_dir, "model.json")
     _write_json(path, model)
 
     print("lambda_qut = %r" % res.lambda_qut)
@@ -395,7 +391,7 @@ def cmd_predict(args):
     else:
         header = ["y_hat"] if pred.shape[1] == 1 else ["y_hat_%d" % j for j in range(pred.shape[1])]
         rows = pred.tolist()
-    path = _out_path(args, "predictions.csv")
+    path = os.path.join(args.output_dir, "predictions.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -445,10 +441,10 @@ def cmd_simulate(args):
         "config": {"alpha": opts["alpha"], "n_mc": opts["n_mc"]},
         "jobs": opts["jobs"],
     }
-    manifest_path = _out_path(args, "sweep_manifest.json")
+    manifest_path = os.path.join(args.output_dir, "sweep_manifest.json")
     if args.resume:
         _check_resume(manifest_path, manifest)
-    records_path = _out_path(args, "sweep_records.jsonl")
+    records_path = os.path.join(args.output_dir, "sweep_records.jsonl")
     t0 = time.monotonic()
     done = read_records(records_path) if args.resume else None
     # the trial identity is on disk before the first trial, for --resume
@@ -459,7 +455,7 @@ def cmd_simulate(args):
     )
     wall = time.monotonic() - t0
 
-    csv_path = _out_path(args, "sweep.csv")
+    csv_path = os.path.join(args.output_dir, "sweep.csv")
     write_csv(rows, csv_path)
     manifest.update(wall_time_s=wall, created_at=_timestamp())
     _write_json(manifest_path, manifest)

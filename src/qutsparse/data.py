@@ -98,10 +98,6 @@ def _split_header(rows, path, has_header):
     return names, data, start_row
 
 
-def _table(path, has_header):
-    return _split_header(_rows(_read_text(path), path), path, has_header)
-
-
 def _is_missing(tok):
     return tok.lower() in MISSING_TOKENS
 
@@ -307,7 +303,8 @@ class ScoringFile:
 
     def __init__(self, path, has_header=True, target=None, task_kind="regression", labels=None):
         self.path, self.has_header = path, has_header
-        self.names, self.rows, self.start_row = _table(path, has_header)
+        self.names, self.rows, self.start_row = _split_header(
+            _rows(_read_text(path), path), path, has_header)
         self.y = None
         if target is not None:
             j = _resolve_target(target, self.names, has_header, len(self.names))

@@ -106,7 +106,6 @@ def run_trial(spec, run_index, hidden=(), activation="relu", alpha=0.05, n_mc=10
     X, Y, X_test, mu_test, support = generate(spec, run_index)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
     Xs = (X - mean) / std
     _, fit_seed = _trial_seeds(spec, run_index)
     arch = Architecture(spec.p, tuple(hidden), 1, activation)

@@ -10,7 +10,8 @@ nonconvex endpoint.  The final phase switches to proximal gradient steps on the
 first weight matrix, with a monotone backtracking line search shared by
 all blocks; its prox produces exact zeros, which define the selected
 support.  Zero columns and dead rows are then pruned and the surviving
-network is refit without any penalty.
+network is refit without any penalty: in closed form for an empty
+support and for a linear regression, by Adam otherwise.
 """
 
 from dataclasses import dataclass
@@ -272,6 +273,14 @@ def fit(X, Y, task, arch, config=None, lambda_qut=None):
         pruned.intercept[...] = null_constant(task, Y)
         cost = float(loss_value(task, network.forward(pruned, parch, Xs), Y))
         phases.append(PhaseRecord("refit", 0.0, None, 0, cost, cost, STOP_CONVERGED))
+    elif task.kind == "regression" and not parch.hidden:
+        # least squares on [X_S, 1] minimizes the square-root loss exactly
+        start = float(loss_value(task, network.forward(pruned, parch, Xs), Y))
+        coef = np.linalg.lstsq(np.column_stack([Xs, np.ones(len(Xs))]), Y, rcond=None)[0]
+        pruned.w1[...] = coef[:-1].T
+        pruned.intercept[...] = coef[-1]
+        cost = float(loss_value(task, network.forward(pruned, parch, Xs), Y))
+        phases.append(PhaseRecord("refit", 0.0, None, 0, start, cost, STOP_CONVERGED))
     else:
         phases.append(_adam_phase(
             pruned, parch, Xs, Y, task, cfg, 0.0, None, FINAL_TOL, "refit"

@@ -49,8 +49,11 @@ def test_tracer_reads_the_arguments_and_results_of_a_fit(hidden):
                                      TrainConfig(n_mc=50))
     finally:
         tracer.remove()
-    counts = tracer.counts
+    counts = dict(tracer.counts)
     assert counts["qut.draws"] == 50 and tracer.take_oracle_samples()
+    # a linear regression's refit is closed form: 0 updates, as its record says
+    refit = [ph.iterations for ph in res.phases if ph.name == "refit"]
+    assert [counts.pop("trainer.phase.refit.iters")] == refit
     assert min(counts.values()) > 0, counts
     sparsify = [ph.iterations for ph in res.phases if ph.name == "sparsify"]
     assert [counts["trainer.linesearch.sparsify_iters"]] == sparsify

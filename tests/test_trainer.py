@@ -500,13 +500,31 @@ class TestFit:
         pred = res.predict(X)
         assert np.all(pred == pred[0])
 
+    def test_noiseless_linear_refit_is_least_squares(self):
+        # Adam at a fixed step cannot settle at a zero residual; the closed
+        # form ends at or below its start, with no budget exit
+        rng = np.random.default_rng(100)
+        X = rng.normal(0, 1, (40, 6))
+        X = (X - X.mean(0)) / X.std(0)
+        Y = (2.0 * X[:, 0] - X[:, 3])[:, None]
+        res = fit(X, Y, REG, Architecture(6, (), 1), TrainConfig(n_mc=200, seed=0))
+        refit = res.phases[-1]
+        assert res.selected.tolist() == [0, 3]
+        assert refit.final_cost <= refit.initial_cost * (1 + 1e-12)
+        assert (refit.iterations, refit.stop) == (0, STOP_CONVERGED)
+        assert res.status == STATUS_CONVERGED
+        np.testing.assert_allclose(res.params.w1, [[2.0, -1.0]], atol=1e-12)
+        assert res.train_loss == refit.final_cost < 1e-12
+
     def test_status_follows_the_phase_records(self):
         X, Y = self.make_linear()
         arch = Architecture(25, (), 1)
         for cfg in (TrainConfig(seed=0), TrainConfig(seed=0, max_phase_iters=3)):
             res = fit(X, Y, REG, arch, cfg)
             assert res.status == _status(res.phases)
-        assert {ph.stop for ph in res.phases} == {STOP_BUDGET}
+        # a linear regression's refit is closed form, so it has no budget
+        assert {ph.stop for ph in res.phases[:-1]} == {STOP_BUDGET}
+        assert res.phases[-1].stop == STOP_CONVERGED
         assert res.status == STATUS_MAX_ITERS
 
     def test_budget_exhaustion_reports_max_iters(self):
